@@ -1,11 +1,13 @@
-"""Bench: scalar reference vs vectorized kernel, cold fig10-style slice.
+"""Bench: scalar oracle vs vectorized kernels, cold fig10-style slice.
 
-One cold pass per kernel through the pipeline the Fig. 10 experiment
+One cold pass per leg through the pipeline the Fig. 10 experiment
 exercises — Monte-Carlo statistical characterization, synthesis-side
 STA, worst-path extraction and design statistics — with no cache in
-play.  The two legs must be bit-identical (that is the whole contract
-of :mod:`repro.kernels`), and the vectorized leg must be at least
-``MIN_SPEEDUP`` x faster; both land in ``BENCH_<runid>.json``.
+play.  The scalar leg runs the test-side oracle
+(:mod:`tests.kernels.oracle`).  The two legs must be bit-identical
+(that is the whole contract of :mod:`repro.kernels`), and the
+vectorized leg must be at least ``MIN_SPEEDUP`` x faster; both land in
+``BENCH_<runid>.json``.
 """
 
 from __future__ import annotations
@@ -18,12 +20,12 @@ from repro.cells.catalog import build_catalog, family_strengths
 from repro.cells.naming import format_cell_name, parse_cell_name
 from repro.characterization.characterize import Characterizer
 from repro.experiments.base import ExperimentResult
-from repro.kernels.dispatch import use_kernel
 from repro.netlist.builder import NetlistBuilder
 from repro.sta.paths import extract_worst_paths
 from repro.sta.statistics import design_statistics
 from repro.synth.constraints import SynthesisConstraints
 from repro.synth.synthesizer import synthesize
+from tests.kernels.oracle import ScalarCharacterizer, use_scalar_sta
 
 #: Acceptance floor for the vectorized kernel on the cold slice.
 MIN_SPEEDUP = 5.0
@@ -61,28 +63,29 @@ def _design(specs):
     return _bind(netlist, specs)
 
 
-def _cold_slice(kernel, specs):
-    """Cold characterize + synthesize + statistics under one kernel."""
-    with use_kernel(kernel):
-        library = Characterizer(kernel=kernel).statistical_library(
-            specs, n_samples=10, seed=3, use_cache=False
-        )
-        synthesis = synthesize(
-            _design(specs), library, SynthesisConstraints(clock_period=2.4)
-        )
-        paths = extract_worst_paths(synthesis.timing)
-        return design_statistics(paths, library, kernel=kernel)
+def _cold_slice(characterizer_class, specs):
+    """Cold characterize + synthesize + statistics with one characterizer."""
+    library = characterizer_class().statistical_library(
+        specs, n_samples=10, seed=3, use_cache=False
+    )
+    synthesis = synthesize(
+        _design(specs), library, SynthesisConstraints(clock_period=2.4)
+    )
+    paths = extract_worst_paths(synthesis.timing)
+    return design_statistics(paths, library)
 
 
-def test_kernel_speedup(benchmark):
+def test_kernel_speedup(benchmark, monkeypatch):
     specs = build_catalog(families=FAMILIES)
 
-    start = time.perf_counter()
-    scalar_stats = _cold_slice("scalar", specs)
-    scalar_s = time.perf_counter() - start
+    with monkeypatch.context() as patch:
+        use_scalar_sta(patch)
+        start = time.perf_counter()
+        scalar_stats = _cold_slice(ScalarCharacterizer, specs)
+        scalar_s = time.perf_counter() - start
 
     start = time.perf_counter()
-    vectorized_stats = _cold_slice("vectorized", specs)
+    vectorized_stats = _cold_slice(Characterizer, specs)
     vectorized_s = time.perf_counter() - start
 
     # the contract first: identical science, or the speedup is moot
@@ -96,7 +99,7 @@ def test_kernel_speedup(benchmark):
 
     show(ExperimentResult(
         experiment_id="kernels",
-        title="Cold fig10-style slice: scalar reference vs vectorized kernel",
+        title="Cold fig10-style slice: scalar oracle vs vectorized kernels",
         rows=[
             {
                 "leg": "scalar",
@@ -124,5 +127,5 @@ def test_kernel_speedup(benchmark):
 
     # timed leg for the bench JSON: one cold vectorized slice
     benchmark.pedantic(
-        _cold_slice, args=("vectorized", specs), rounds=1, iterations=1
+        _cold_slice, args=(Characterizer, specs), rounds=1, iterations=1
     )

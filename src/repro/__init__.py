@@ -18,9 +18,8 @@ The package implements the paper's full flow from scratch:
   per-pin slew/load windows (:mod:`repro.synth`);
 * end-to-end flows and every table/figure of the evaluation
   (:mod:`repro.flow`, :mod:`repro.experiments`);
-* a batched NumPy kernel layer behind characterization and STA, with a
-  bit-identical scalar reference implementation selectable at runtime
-  (:mod:`repro.kernels`);
+* a batched NumPy kernel layer behind STA, held bit-identical to a
+  scalar reference by the test suite (:mod:`repro.kernels`);
 * an observability layer — spans, counters, profiling, an append-only
   run ledger with trend reports and a metrics regression gate — over
   all of it (:mod:`repro.observe`);
@@ -74,7 +73,6 @@ _EXPORTS = {
     "Characterizer": "repro.characterization.characterize",
     "Finding": "repro.lint.findings",
     "FlowConfig": "repro.flow.experiment",
-    "KERNEL_NAMES": "repro.kernels",
     "LintEngine": "repro.lint.engine",
     "MetricsRegistry": "repro.observe.metrics",
     "MetricsSnapshot": "repro.observe.metrics",
@@ -90,11 +88,8 @@ _EXPORTS = {
     "TuningServer": "repro.serve.server",
     "TuningService": "repro.serve.handlers",
     "build_catalog": "repro.cells.catalog",
-    "get_kernel": "repro.kernels",
     "get_metrics": "repro.observe.metrics",
     "render_prometheus": "repro.observe.metrics",
-    "set_kernel": "repro.kernels",
-    "use_kernel": "repro.kernels",
 }
 
 __all__ = sorted(_EXPORTS)

@@ -74,6 +74,7 @@ from repro.experiments.runner import (
     build_context,
     run_experiments,
 )
+from repro.parallel.backends import BACKEND_NAMES
 
 
 def _shared_options() -> argparse.ArgumentParser:
@@ -97,19 +98,12 @@ def _shared_options() -> argparse.ArgumentParser:
         "artifact store",
     )
     group.add_argument(
-        "--kernel",
-        choices=("scalar", "vectorized"),
-        default=None,
-        help="evaluation kernel: 'vectorized' (default) or the 'scalar' "
-        "reference — bit-identical results (default from REPRO_KERNEL)",
-    )
-    group.add_argument(
         "--backend",
-        choices=("serial", "process", "queue"),
+        choices=BACKEND_NAMES,
         default=None,
-        help="execution backend for every fan-out: in-process 'serial', "
-        "local 'process' pool (default) or the spooled 'queue' stub — "
-        "bit-identical results (default from REPRO_BACKEND)",
+        help="execution backend for every fan-out: in-process 'serial' "
+        "or local 'process' pool (default) — bit-identical results "
+        "(default from REPRO_BACKEND)",
     )
     group.add_argument(
         "--manifest",
@@ -413,7 +407,6 @@ def _run_sweep_command(args: argparse.Namespace) -> int:
         jobs=args.jobs,
         cache=False if args.no_cache else None,
         tracer=tracer,
-        kernel=args.kernel,
         backend=args.backend,
     )
     try:
@@ -467,8 +460,7 @@ def _run_serve_command(args: argparse.Namespace) -> int:
         config = FlowConfig.from_env(
             scale=args.scale,
             jobs=args.jobs,
-            kernel=args.kernel,
-            backend=args.backend,
+                backend=args.backend,
             cache=False if args.no_cache else None,
             tracer=tracer,
         )
@@ -735,7 +727,6 @@ def main(argv: List[str]) -> int:
         jobs=args.jobs,
         cache=False if args.no_cache else None,
         tracer=tracer,
-        kernel=args.kernel,
         backend=args.backend,
     )
     for experiment_id in ids:

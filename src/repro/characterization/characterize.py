@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -35,7 +35,6 @@ from repro.characterization.delaymodel import GateDelayModel
 from repro.characterization.devices import CellElectricalView, network_geometry
 from repro.characterization.grids import GridConfig, load_grid, slew_grid
 from repro.errors import CharacterizationError, ReproError
-from repro.kernels.dispatch import resolve_kernel
 from repro.observe import get_tracer
 from repro.observe.catalog import (
     CHARACTERIZE_CELLS,
@@ -113,14 +112,6 @@ class GlobalDraws:
         zero = np.zeros(n_samples)
         return GlobalDraws(zero, zero.copy(), zero.copy())
 
-    def sample(self, k: int) -> "GlobalDraws":
-        """The length-1 slice holding only sample ``k``."""
-        return GlobalDraws(
-            dvth=self.dvth[k : k + 1],
-            dbeta=self.dbeta[k : k + 1],
-            dlength_rel=self.dlength_rel[k : k + 1],
-        )
-
 
 class Characterizer:
     """Characterizes catalog cells into Liberty libraries."""
@@ -135,7 +126,6 @@ class Characterizer:
         include_power: bool = False,
         cache: Optional["LibraryCache"] = None,
         n_workers: int = 1,
-        kernel: Optional[str] = None,
         backend: Optional[str] = None,
     ):
         self.base_tech = tech or TechnologyParams()
@@ -158,8 +148,8 @@ class Characterizer:
         if n_workers < 0:
             raise ReproError(f"n_workers must be >= 0, got {n_workers}")
         self.n_workers = n_workers
-        #: Execution backend of the library-level drivers (``serial``,
-        #: ``process`` or ``queue``; ``None`` = the default backend —
+        #: Execution backend of the library-level drivers (``serial``
+        #: or ``process``; ``None`` = the default backend —
         #: see :mod:`repro.parallel.backends`).  Results are
         #: bit-identical on every backend, so the choice never enters
         #: cache keys.  Validated eagerly so a bad ``--backend`` fails
@@ -169,13 +159,6 @@ class Characterizer:
 
             validate_backend(backend)
         self.backend = backend
-        #: Evaluation kernel (see :mod:`repro.kernels`): ``"vectorized"``
-        #: batches all samples and grid points per arc, ``"scalar"`` is
-        #: the per-point reference.  Bit-identical results either way,
-        #: so the choice never enters the characterization cache key.
-        #: ``None`` adopts the process-wide active kernel; validated
-        #: eagerly so a bad ``--kernel`` fails loudly.
-        self.kernel = resolve_kernel(kernel)
         if include_power:
             from repro.characterization.power import PowerModel
 
@@ -248,11 +231,7 @@ class Characterizer:
         """(rise delay, fall delay, rise transition, fall transition).
 
         With draws of N samples the tensors have shape (N, n_s, n_l);
-        with ``draws=None`` (nominal) they are (n_s, n_l).  The
-        ``"vectorized"`` kernel evaluates each tensor as one broadcast
-        surrogate call; the ``"scalar"`` reference evaluates per
-        (sample, grid point) — bit-identical by IEEE-754 elementwise
-        semantics (see :mod:`repro.kernels`).
+        with ``draws=None`` (nominal) they are (n_s, n_l).
         """
         slew_axis = slew_grid(self.grid)
         load_axis = load_grid(self.grid, spec)
@@ -274,36 +253,43 @@ class Characterizer:
                 dbeta_r = dbeta_r + global_draws.dbeta
                 dbeta_f = dbeta_f + global_draws.dbeta
                 dlen = global_draws.dlength_rel
-        if self.kernel == "scalar":
-            # Deferred: kernels.characterization imports this package's
-            # delay/power models, so a module-level import would cycle.
-            from repro.kernels.characterization import scalar_arc_tables
-
-            rise = scalar_arc_tables(
-                self.model, spec, output_pin, True, slew_axis, load_axis,
-                dvth=dvth_r, dbeta=dbeta_r, dlength_rel=dlen,
-            )
-            fall = scalar_arc_tables(
-                self.model, spec, output_pin, False, slew_axis, load_axis,
-                dvth=dvth_f, dbeta=dbeta_f, dlength_rel=dlen,
-            )
-            return rise.delay, fall.delay, rise.transition, fall.transition
-
-        def lift(value: np.ndarray | float) -> np.ndarray | float:
-            """Scalars pass through; (N,) vectors gain the grid axes."""
-            return value if np.ndim(value) == 0 else np.asarray(value)[:, None, None]
-
-        rise = self.model.arc_tables(
-            spec, output_pin, rise=True,
-            slews=slew_axis[:, None], loads=load_axis[None, :],
-            dvth=lift(dvth_r), dbeta=lift(dbeta_r), dlength_rel=lift(dlen),
+        rise = self._grid_tensor(
+            self.model.arc_tables, spec, output_pin, True, slew_axis,
+            load_axis, dvth=dvth_r, dbeta=dbeta_r, dlength_rel=dlen,
         )
-        fall = self.model.arc_tables(
-            spec, output_pin, rise=False,
-            slews=slew_axis[:, None], loads=load_axis[None, :],
-            dvth=lift(dvth_f), dbeta=lift(dbeta_f), dlength_rel=lift(dlen),
+        fall = self._grid_tensor(
+            self.model.arc_tables, spec, output_pin, False, slew_axis,
+            load_axis, dvth=dvth_f, dbeta=dbeta_f, dlength_rel=dlen,
         )
         return rise.delay, fall.delay, rise.transition, fall.transition
+
+    def _grid_tensor(
+        self,
+        evaluate: Callable[..., Any],
+        spec: CellSpec,
+        output_pin: str,
+        rise: bool,
+        slew_axis: np.ndarray,
+        load_axis: np.ndarray,
+        **variation: np.ndarray | float,
+    ) -> Any:
+        """One surrogate-model method over an arc's whole slew x load grid.
+
+        ``evaluate`` is :meth:`GateDelayModel.arc_tables` or
+        :meth:`PowerModel.arc_energy`; each ``variation`` keyword is a
+        scalar or an (N,) sample vector.  Sample vectors gain the grid
+        axes, so one broadcast call yields the (N, n_s, n_l) tensor.
+        The scalar test oracle (``tests/kernels``) overrides this one
+        method with a per-(sample, grid point) loop.
+        """
+        lifted = {
+            name: value if np.ndim(value) == 0 else np.asarray(value)[:, None, None]
+            for name, value in variation.items()
+        }
+        return evaluate(
+            spec, output_pin, rise,
+            slews=slew_axis[:, None], loads=load_axis[None, :], **lifted,
+        )
 
     def _make_cell_shell(self, spec: CellSpec) -> Cell:
         """Cell with pins/areas/metadata but no timing tables yet."""
@@ -415,7 +401,7 @@ class Characterizer:
     def _energy_tensors(
         self, spec: CellSpec, output_pin: str, arc_draws: Optional[ArcDraws]
     ) -> Dict[bool, np.ndarray]:
-        """Switching-energy tensors keyed by rise/fall, kernel-dispatched.
+        """Switching-energy tensors keyed by rise/fall.
 
         Shapes follow :meth:`_arc_tensors`: (n_s, n_l) nominal,
         (N, n_s, n_l) with draws.
@@ -433,21 +419,10 @@ class Characterizer:
             else:
                 dvth = arc_draws[vth_row]
                 dbeta = arc_draws[beta_row]
-            if self.kernel == "scalar":
-                # Deferred for the same import-cycle reason as above.
-                from repro.kernels.characterization import scalar_arc_energy
-
-                energies[rise] = scalar_arc_energy(
-                    self.power_model, spec, output_pin, rise,
-                    slew_axis, load_axis, dvth=dvth, dbeta=dbeta,
-                )
-            else:
-                energies[rise] = self.power_model.arc_energy(
-                    spec, output_pin, rise,
-                    slew_axis[:, None], load_axis[None, :],
-                    dvth=dvth if np.ndim(dvth) == 0 else np.asarray(dvth)[:, None, None],
-                    dbeta=dbeta if np.ndim(dbeta) == 0 else np.asarray(dbeta)[:, None, None],
-                )
+            energies[rise] = self._grid_tensor(
+                self.power_model.arc_energy, spec, output_pin, rise,
+                slew_axis, load_axis, dvth=dvth, dbeta=dbeta,
+            )
         return energies
 
     def _attach_power(
@@ -565,25 +540,12 @@ class Characterizer:
     ) -> List[Cell]:
         """One spec's cells for many Monte-Carlo samples at once.
 
-        The vectorized kernel evaluates the full (N, slew, load) tensor
-        of every arc once and slices per sample — the batched
-        replacement for the per-``k`` :meth:`characterize_cell` loop,
-        bit-identical to it (``tests/kernels``).  The scalar kernel
-        keeps the honest per-sample loop.  ``sample_indices`` are
-        absolute indices into the draws' sample axis.
+        Evaluates the full (N, slew, load) tensor of every arc once and
+        slices per sample — the batched replacement for a per-``k``
+        :meth:`characterize_cell` loop, bit-identical to it
+        (``tests/kernels``).  ``sample_indices`` are absolute indices
+        into the draws' sample axis.
         """
-        if self.kernel != "vectorized":
-            return [
-                self.characterize_cell(
-                    spec,
-                    draws=draws,
-                    sample_index=k,
-                    global_draws=(
-                        None if global_draws is None else global_draws.sample(k)
-                    ),
-                )
-                for k in sample_indices
-            ]
         global _characterize_calls
         _characterize_calls += len(sample_indices)
         tracer = get_tracer()

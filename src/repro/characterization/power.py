@@ -18,7 +18,7 @@ provides that other property:
 
 * **leakage** (uW) with its exponential vth sensitivity,
   ``I = i0 * W * exp(-(vth + dvth) / v_slope)`` — under vth mismatch
-  the leakage of a die is log-normally distributed, reproduced by
+  the leakage of a die follows a log-normal law, reproduced by
   :func:`leakage_statistics`.
 """
 

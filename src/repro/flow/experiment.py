@@ -40,7 +40,6 @@ from repro.characterization.characterize import Characterizer
 from repro.core.methods import TuningMethod, method_by_name
 from repro.core.tuner import LibraryTuner, TuningResult
 from repro.errors import ConfigError, ReproError
-from repro.kernels.dispatch import DEFAULT_KERNEL, set_kernel, validate_kernel
 from repro.parallel.backends import DEFAULT_BACKEND, validate_backend
 from repro.observe import Tracer, get_tracer, set_metrics_enabled, set_tracer
 from repro.flow.metrics import TuningComparison, compare_runs
@@ -105,15 +104,11 @@ class FlowConfig:
     #: (``$REPRO_CACHE_DIR`` or ``~/.cache/repro``); results are
     #: bit-identical either way.
     cache: bool = True
-    #: Evaluation kernel (``"vectorized"`` or ``"scalar"``, see
-    #: :mod:`repro.kernels`); results are bit-identical either way, so
-    #: the choice never enters fingerprints or cache keys.
-    kernel: str = DEFAULT_KERNEL
     #: Execution backend every fan-out dispatches through
-    #: (``"serial"``, ``"process"`` or ``"queue"``, see
-    #: :mod:`repro.parallel.backends`); like the kernel, results are
-    #: bit-identical on every backend, so the choice never enters
-    #: fingerprints or cache keys.
+    #: (``"serial"`` or ``"process"``, see
+    #: :mod:`repro.parallel.backends`); results are bit-identical on
+    #: every backend, so the choice never enters fingerprints or cache
+    #: keys.
     backend: str = DEFAULT_BACKEND
     #: Optional :class:`~repro.observe.Tracer` the flow installs as the
     #: process-wide active tracer; travels (as a trace handle) into the
@@ -193,7 +188,6 @@ class FlowConfig:
     def from_env(
         scale: Optional[str] = None,
         jobs: Optional[int] = None,
-        kernel: Optional[str] = None,
         backend: Optional[str] = None,
         cache: Optional[bool] = None,
         tracer: Optional[Tracer] = None,
@@ -210,7 +204,6 @@ class FlowConfig:
         scale      ``REPRO_SCALE``    named scale, ``quick``/``paper``/
                                       ``tiny`` (``quick``)
         jobs       ``REPRO_JOBS``     worker count, 0 = one per CPU (1)
-        kernel     ``REPRO_KERNEL``   evaluation kernel (``vectorized``)
         backend    ``REPRO_BACKEND``  execution backend (``process``)
         cache      —                  artifact store on/off (on)
         tracer     —                  tracer the flow installs (none)
@@ -221,7 +214,7 @@ class FlowConfig:
         *not* a flow knob; it is resolved the same way by
         :func:`repro.observe.ledger.resolve_ledger`, and
         ``REPRO_CACHE_DIR`` by the artifact store.  Any invalid value —
-        a typo'd scale, kernel or backend, a non-integer or negative
+        a typo'd scale or backend, a non-integer or negative
         job count — raises :class:`~repro.errors.ConfigError` instead
         of silently falling back to a default.  The CLI, the experiment
         runner and the tuning service all build their configs here, so
@@ -251,12 +244,6 @@ class FlowConfig:
                     f"REPRO_JOBS must be >= 0 (0 = one per CPU), got {jobs}"
                 )
             config = replace(config, n_workers=jobs)
-        if kernel is None:
-            kernel = os.environ.get("REPRO_KERNEL")
-        if kernel is not None:
-            config = replace(
-                config, kernel=validate_kernel(kernel.strip().lower())
-            )
         if backend is None:
             backend = os.environ.get("REPRO_BACKEND")
         if backend is not None:
@@ -274,16 +261,6 @@ class FlowConfig:
         if metrics is not None:
             config = replace(config, metrics=metrics)
         return config
-
-    @staticmethod
-    def from_environment() -> "FlowConfig":
-        """Build a config from environment knobs alone.
-
-        Thin alias of :meth:`from_env` with no explicit overrides,
-        kept for the original call sites; new code should call
-        :meth:`from_env` directly.
-        """
-        return FlowConfig.from_env()
 
 
 @dataclass(frozen=True)
@@ -419,7 +396,6 @@ class TuningFlow:
         self.config = config or FlowConfig.paper()
         if self.config.tracer is not None:
             set_tracer(self.config.tracer)
-        set_kernel(self.config.kernel)
         set_metrics_enabled(self.config.metrics)
         self.manifest = RunManifest()
         self._store = None
@@ -474,7 +450,6 @@ class TuningFlow:
             self._characterizer = Characterizer(
                 cache=LibraryCache() if self.config.cache else None,
                 n_workers=self.config.n_workers,
-                kernel=self.config.kernel,
                 backend=self.config.backend,
             )
         return self._characterizer

@@ -31,8 +31,8 @@ stats``.
 
 The sweep fan-out (:func:`sweep_comparisons`) runs independent
 ``(clock period, method, parameter)`` evaluation points on the
-configured :class:`~repro.parallel.backends.ExecutorBackend` (serial,
-process pool, or the spooled work-queue stub).  Workers rebuild the
+configured :class:`~repro.parallel.backends.ExecutorBackend` (serial
+or process pool).  Workers rebuild the
 flow from the (picklable) config, hit the shared on-disk caches for the
 library and the per-period baselines, and return plain
 :class:`~repro.flow.metrics.TuningComparison` values which the parent

@@ -1,40 +1,19 @@
-"""Batched numerical kernels with a bit-identical scalar reference.
+"""Batched numerical kernels behind characterization and STA.
 
-The repo's two hot loops — Monte-Carlo characterization and statistical
-STA — each exist as a ``"vectorized"`` production kernel (whole-tensor
-characterization, whole-level gather interpolation) and a ``"scalar"``
-reference kernel (one surrogate/lookup call per element).  The active
-kernel is selected via :func:`set_kernel` / :func:`use_kernel` (or
-``FlowConfig(kernel=...)`` / ``REPRO_KERNEL`` / ``--kernel``); results
-are bit-identical either way, so the choice never enters a fingerprint
-or cache key.  See DESIGN.md §14 and ``tests/kernels``.
+The repo's STA hot loop evaluates whole topological levels at once:
+:class:`LutBatch` stacks same-shape LUTs and :func:`batch_interpolate`
+gather-interpolates many tables at many points in one call, which
+:func:`evaluate_table_groups` uses to resolve every arc group of a
+level (max over rise/fall variants) in a single shot.  Results are
+bit-identical to one scalar bilinear lookup per query; the scalar
+oracle that proves it lives in ``tests/kernels``.  See DESIGN.md §14.
 """
 
-from repro.kernels.dispatch import (
-    DEFAULT_KERNEL,
-    KERNEL_NAMES,
-    get_kernel,
-    resolve_kernel,
-    set_kernel,
-    use_kernel,
-    validate_kernel,
-)
-from repro.kernels.lut import LutBatch, batch_interpolate, interpolate_many_scalar
-from repro.kernels.characterization import scalar_arc_energy, scalar_arc_tables
+from repro.kernels.lut import LutBatch, batch_interpolate
 from repro.kernels.sta import evaluate_table_groups
 
 __all__ = [
-    "DEFAULT_KERNEL",
-    "KERNEL_NAMES",
     "LutBatch",
     "batch_interpolate",
     "evaluate_table_groups",
-    "get_kernel",
-    "interpolate_many_scalar",
-    "resolve_kernel",
-    "scalar_arc_energy",
-    "scalar_arc_tables",
-    "set_kernel",
-    "use_kernel",
-    "validate_kernel",
 ]

@@ -7,18 +7,15 @@ its own delay/transition LUTs over its own (per-cell) load axis.
 :class:`LutBatch` stacks same-shape tables into one (T, n_slew, n_load)
 array so a whole level resolves in a single gather-based interpolation.
 
-Bit-identity with the scalar reference is by construction:
+Bit-identity with one scalar lookup per query is by construction:
 
 * ``searchsorted(axis, v, side="left")`` equals the count of axis
   entries strictly below ``v``, which is what the batched bracket
   computes (``(axes < v[:, None]).sum(axis=1)``);
 * clamping, the interpolation fractions and the blend are written as
-  the *same* elementwise expressions as the scalar path, and IEEE-754
+  the *same* elementwise expressions as
+  :func:`~repro.liberty.lut.bilinear_interpolate`, and IEEE-754
   elementwise arithmetic does not depend on array shape.
-
-:func:`interpolate_many_scalar` is the honest reference the property
-tests pin both implementations to: one
-:func:`~repro.liberty.lut.bilinear_interpolate` call per element.
 """
 
 from __future__ import annotations
@@ -28,7 +25,6 @@ from typing import Sequence
 import numpy as np
 
 from repro.errors import LibertyError
-from repro.liberty.lut import bilinear_interpolate
 from repro.liberty.model import Lut
 
 
@@ -101,25 +97,3 @@ def batch_interpolate(
     bot = q10 * (1.0 - tl) + q11 * tl
     return top * (1.0 - ts) + bot * ts
 
-
-def interpolate_many_scalar(
-    lut: Lut, slews: np.ndarray, loads: np.ndarray
-) -> np.ndarray:
-    """Reference: one scalar ``bilinear_interpolate`` call per element.
-
-    Broadcasts ``slews`` against ``loads`` exactly like the vectorized
-    :func:`~repro.liberty.lut.bilinear_interpolate_many`, then walks
-    the broadcast elementwise.
-    """
-    s, load = np.broadcast_arrays(
-        np.asarray(slews, dtype=float), np.asarray(loads, dtype=float)
-    )
-    out = np.empty(s.shape)
-    flat = out.ravel()
-    flat_s = s.ravel()
-    flat_l = load.ravel()
-    for index in range(flat_s.size):
-        flat[index] = bilinear_interpolate(
-            lut, float(flat_s[index]), float(flat_l[index])
-        )
-    return out

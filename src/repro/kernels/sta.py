@@ -4,21 +4,19 @@ The STA engine walks the timing graph level by level; each level holds
 many arc groups (same cell, same arc), each needing the max over its
 delay (or transition, or sigma) tables at its own query points.
 :func:`evaluate_table_groups` resolves all groups of a level at once:
+it stacks every table of every group into one
+:class:`~repro.kernels.lut.LutBatch` and gather-interpolates the
+concatenated queries in one shot, max-merging table variants with a
+masked second pass.  It falls back to per-group
+:func:`~repro.liberty.lut.bilinear_interpolate_many` when table shapes
+are heterogeneous (never the case for one characterizer's grids) or
+when there is only one group (a batch of one would only add stacking
+overhead).
 
-* ``"vectorized"`` — stack every table of every group into one
-  :class:`~repro.kernels.lut.LutBatch` and gather-interpolate the
-  concatenated queries in one shot, max-merging table variants with a
-  masked second pass.  Falls back to per-group
-  :func:`~repro.liberty.lut.bilinear_interpolate_many` when table
-  shapes are heterogeneous (never the case for one characterizer's
-  grids) or when there is only one group (a batch of one would only
-  add stacking overhead).
-* ``"scalar"`` — the reference: one scalar bilinear lookup per query
-  per table.
-
-Max-merging is exact and commutative for floats, and both paths use
-identical interpolation arithmetic, so results are bit-identical —
-``tests/kernels`` holds both to the scalar lookup.
+Max-merging is exact and commutative for floats, and every path uses
+the same interpolation arithmetic, so results are bit-identical to one
+scalar bilinear lookup per query per table — ``tests/kernels`` holds
+them to exactly that reference.
 """
 
 from __future__ import annotations
@@ -28,8 +26,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from repro.errors import LibertyError
-from repro.kernels.dispatch import resolve_kernel
-from repro.kernels.lut import LutBatch, batch_interpolate, interpolate_many_scalar
+from repro.kernels.lut import LutBatch, batch_interpolate
 from repro.liberty.lut import bilinear_interpolate_many
 from repro.liberty.model import Lut
 
@@ -41,19 +38,6 @@ def _maxmerge_many(
     merged: Optional[np.ndarray] = None
     for table in tables:
         values = bilinear_interpolate_many(table, slews, loads)
-        merged = values if merged is None else np.maximum(merged, values)
-    if merged is None:
-        raise LibertyError("cannot interpolate an empty table group")
-    return merged
-
-
-def _maxmerge_scalar(
-    tables: Sequence[Lut], slews: np.ndarray, loads: np.ndarray
-) -> np.ndarray:
-    """Max over per-table scalar-reference interpolation (one group)."""
-    merged: Optional[np.ndarray] = None
-    for table in tables:
-        values = interpolate_many_scalar(table, slews, loads)
         merged = values if merged is None else np.maximum(merged, values)
     if merged is None:
         raise LibertyError("cannot interpolate an empty table group")
@@ -113,26 +97,19 @@ def evaluate_table_groups(
     groups: Sequence[Sequence[Lut]],
     slews_list: Sequence[np.ndarray],
     loads_list: Sequence[np.ndarray],
-    kernel: Optional[str] = None,
 ) -> List[np.ndarray]:
     """Per group: elementwise max over its tables at its query points.
 
     ``groups[g]`` is a non-empty sequence of LUTs (e.g. the rise/fall
     delay tables of one arc); ``slews_list[g]``/``loads_list[g]`` are
     its broadcast-compatible query arrays.  Returns one value array per
-    group, bit-identical across kernels.
+    group.
     """
     if len(groups) != len(slews_list) or len(groups) != len(loads_list):
         raise LibertyError("groups and query lists must align")
     for group in groups:
         if not group:
             raise LibertyError("cannot interpolate an empty table group")
-    kernel = resolve_kernel(kernel)
-    if kernel == "scalar":
-        return [
-            _maxmerge_scalar(group, slews, loads)
-            for group, slews, loads in zip(groups, slews_list, loads_list)
-        ]
     if len(groups) == 1:
         return [_maxmerge_many(groups[0], slews_list[0], loads_list[0])]
     shapes = {table.values.shape for group in groups for table in group}

@@ -8,7 +8,7 @@ topology the repo needs: characterization chunks
 map_tasks` instead of constructing pools themselves (the PROC003 lint
 rule keeps it that way).
 
-Three implementations ship:
+Two implementations ship:
 
 * ``serial`` — runs every task in the calling process, in task order,
   with zero copies.  This is also the automatic fallback whenever the
@@ -19,14 +19,9 @@ Three implementations ship:
   processes and results collected in submission order, bit-identical
   to serial execution for every workload in this repo (each task is a
   pure function of its arguments).
-* ``queue`` — a multi-host work-queue **stub**: tasks are serialized
-  into a spooled task directory (``task-NNNNN.pkl``), workers drain
-  their assigned slice of the spool and write ``result-NNNNN.pkl``
-  files, and the parent collects results in task order.  The payloads
-  cross the same serialize/dispatch/collect boundary a real multi-host
-  queue would impose — only the transport (a shared directory and a
-  local process pool standing in for remote workers) is stubbed, so
-  everything scheduled through it is proven shippable.
+
+A future multi-host backend is one more :class:`ExecutorBackend`
+subclass; no fan-out site needs to change.
 
 The contract every backend honors:
 
@@ -41,23 +36,18 @@ The contract every backend honors:
   caller's tracer active and lets ``fn``'s default ``trace=None``
   plumbing find it.
 * **Determinism** — a backend never changes results, so the choice
-  (like the kernel choice, see :mod:`repro.kernels`) must never enter
-  stage fingerprints or cache keys.
+  must never enter stage fingerprints or cache keys.
 """
 
 from __future__ import annotations
 
 import asyncio
-import pickle
-import shutil
-import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor
-from pathlib import Path
 from typing import Any, Callable, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import ConfigError, ServerBusyError
-from repro.observe import TraceHandle, get_tracer, install_worker_tracer
+from repro.observe import TraceHandle, get_tracer
 from repro.observe.catalog import (
     BACKEND_TASK_SECONDS,
     BACKEND_TASKS,
@@ -67,7 +57,7 @@ from repro.observe.catalog import (
 from repro.observe.metrics import flush_worker_metrics, install_worker_metrics
 
 #: The recognized backend names, in documentation order.
-BACKEND_NAMES: Tuple[str, ...] = ("serial", "process", "queue")
+BACKEND_NAMES: Tuple[str, ...] = ("serial", "process")
 
 #: The backend used when nothing selects one (``FlowConfig`` default).
 DEFAULT_BACKEND = "process"
@@ -91,9 +81,8 @@ def chunk_indices(n_items: int, n_chunks: int) -> List[range]:
     """Split ``range(n_items)`` into at most ``n_chunks`` balanced,
     contiguous ranges (earlier chunks at most one element larger).
 
-    The one chunking helper every fan-out site shares: cell chunks and
-    sample blocks in :mod:`repro.parallel.executor`, spool-slice
-    assignment in :class:`QueueBackend`.
+    The one chunking helper every fan-out site shares (cell chunks in
+    :mod:`repro.parallel.executor`).
     """
     n_chunks = max(1, min(n_chunks, n_items))
     base, extra = divmod(n_items, n_chunks)
@@ -115,14 +104,11 @@ class ExecutorBackend:
     produce bit-identical results on every backend.
     """
 
-    #: Stable identifier (``serial`` / ``process`` / ``queue``).
+    #: Stable identifier (``serial`` / ``process``).
     name: str = "abstract"
     #: Tasks run in the calling process — arguments are never copied,
-    #: and the caller's tracer/kernel state is visible to the task.
+    #: and the caller's tracer state is visible to the task.
     in_process: bool = False
-    #: Tasks cross a serialized dispatch boundary that could span
-    #: hosts (nothing may rely on shared memory or process identity).
-    distributed: bool = False
     #: Concrete worker count this backend schedules onto.
     n_workers: int = 1
 
@@ -141,7 +127,6 @@ class SerialBackend(ExecutorBackend):
 
     name = "serial"
     in_process = True
-    distributed = False
 
     def map_tasks(
         self, fn: Callable[..., Any], tasks: Sequence[Task]
@@ -168,7 +153,6 @@ class ProcessBackend(ExecutorBackend):
 
     name = "process"
     in_process = False
-    distributed = False
 
     def __init__(self, n_workers: int):
         if n_workers < 1:
@@ -233,120 +217,6 @@ def _run_worker_task(
             time.perf_counter() - started
         )
         flush_worker_metrics()
-
-
-def _atomic_write_bytes(path: Path, payload: bytes) -> None:
-    """Write ``payload`` via a temp sibling + ``os.replace`` so a
-    concurrent reader can never observe a torn spool file."""
-    handle = tempfile.NamedTemporaryFile(
-        dir=str(path.parent), prefix=path.name + ".", suffix=".tmp",
-        delete=False,
-    )
-    try:
-        handle.write(payload)
-    finally:
-        handle.close()
-    Path(handle.name).replace(path)
-
-
-def _drain_spool(
-    spool: str, indices: Sequence[int], trace: Optional[TraceHandle] = None
-) -> int:
-    """Worker: execute one slice of a spooled task directory.
-
-    Reads ``task-NNNNN.pkl``, runs the pickled ``(fn, args)`` pair and
-    writes ``result-NNNNN.pkl`` — the collect half of the round trip.
-    Returns the number of tasks drained (a liveness check for the
-    parent; the results themselves travel through the spool).
-    """
-    install_worker_tracer(trace)
-    install_worker_metrics()
-    directory = Path(spool)
-    try:
-        for index in indices:
-            with open(directory / f"task-{index:05d}.pkl", "rb") as handle:
-                fn, args = pickle.loads(handle.read())
-            started = time.perf_counter()
-            result = fn(*args, trace)
-            BACKEND_TASK_SECONDS.labels("queue").observe(
-                time.perf_counter() - started
-            )
-            _atomic_write_bytes(
-                directory / f"result-{index:05d}.pkl",
-                pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL),
-            )
-    finally:
-        flush_worker_metrics()
-    return len(indices)
-
-
-class QueueBackend(ExecutorBackend):
-    """Multi-host work-queue stub over a spooled task directory.
-
-    Dispatch is a file-system hand-off: every task is serialized into
-    the spool, workers claim contiguous slices (``chunk_indices`` over
-    the task ids), and results come back as spool files the parent
-    collects in task order.  The worker pool is local — the *stub*
-    part — but every payload crosses the full serialize/dispatch/
-    collect boundary, which is what keeps the workloads shippable to
-    real remote workers.
-    """
-
-    name = "queue"
-    in_process = False
-    distributed = True
-
-    def __init__(self, n_workers: int, spool_dir: Optional[str] = None):
-        if n_workers < 1:
-            raise ConfigError(
-                f"queue backend needs >= 1 worker, got {n_workers}"
-            )
-        self.n_workers = n_workers
-        #: Parent directory the per-``map_tasks`` spools are created
-        #: under (a shared filesystem in the multi-host picture);
-        #: ``None`` uses the system temp directory.
-        self.spool_dir = spool_dir
-
-    def map_tasks(
-        self, fn: Callable[..., Any], tasks: Sequence[Task]
-    ) -> List[Any]:
-        """Spool, dispatch, collect — results in task order."""
-        tasks = list(tasks)
-        if not tasks:
-            return []
-        trace = get_tracer().handle()
-        BACKEND_TASKS.labels(backend=self.name, event="dispatched").inc(
-            len(tasks)
-        )
-        spool = Path(
-            tempfile.mkdtemp(prefix="repro-spool-", dir=self.spool_dir)
-        )
-        try:
-            for index, task in enumerate(tasks):
-                _atomic_write_bytes(
-                    spool / f"task-{index:05d}.pkl",
-                    pickle.dumps(
-                        (fn, tuple(task)), protocol=pickle.HIGHEST_PROTOCOL
-                    ),
-                )
-            slices = chunk_indices(len(tasks), self.n_workers)
-            with ProcessPoolExecutor(max_workers=len(slices)) as pool:
-                futures = [
-                    pool.submit(_drain_spool, str(spool), list(chunk), trace)
-                    for chunk in slices
-                ]
-                for future in futures:
-                    future.result()
-            results: List[Any] = []
-            for index in range(len(tasks)):
-                with open(spool / f"result-{index:05d}.pkl", "rb") as handle:
-                    results.append(pickle.loads(handle.read()))
-            BACKEND_TASKS.labels(backend=self.name, event="completed").inc(
-                len(tasks)
-            )
-            return results
-        finally:
-            shutil.rmtree(spool, ignore_errors=True)
 
 
 class AsyncDispatcher:
@@ -427,9 +297,7 @@ def resolve_backend(
     The single-worker fallback lives here: a ``process`` selection
     whose worker count resolves to 1 degrades to :class:`SerialBackend`
     — results are identical and the process spawn (interpreter start,
-    argument pickling) is pure overhead.  An explicit ``queue``
-    selection keeps its spool semantics even at one worker; exercising
-    the dispatch round trip is the point of choosing it.
+    argument pickling) is pure overhead.
     """
     from repro.parallel import resolve_jobs
 
@@ -437,8 +305,6 @@ def resolve_backend(
         return backend
     name = DEFAULT_BACKEND if backend is None else validate_backend(backend)
     jobs = resolve_jobs(n_workers)
-    if name == "serial" or (name == "process" and jobs <= 1):
+    if name == "serial" or jobs <= 1:
         return SerialBackend()
-    if name == "process":
-        return ProcessBackend(jobs)
-    return QueueBackend(jobs)
+    return ProcessBackend(jobs)

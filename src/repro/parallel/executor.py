@@ -2,13 +2,13 @@
 
 Sharding strategy: cells are split into contiguous chunks (a few per
 worker for load balance — drive strengths, and with them LUT sizes and
-arc counts, vary across the catalog), and for per-sample libraries the
-sample axis is additionally split into blocks, so one task is a
-(cell chunk, sample block) tile.  The tiles are dispatched through a
-pluggable :class:`~repro.parallel.backends.ExecutorBackend` — the
-in-process serial backend, a local process pool, or the spooled
-work-queue stub — selected via ``FlowConfig(backend=...)`` /
-``REPRO_BACKEND`` / ``--backend``.
+arc counts, vary across the catalog), one task per chunk.  Per-sample
+libraries are not split along the sample axis: each cell's full
+(samples x slew x load) tensor is one evaluation, so a sample block
+would only repeat it.  The chunks are dispatched through a pluggable
+:class:`~repro.parallel.backends.ExecutorBackend` — the in-process
+serial backend or a local process pool — selected via
+``FlowConfig(backend=...)`` / ``REPRO_BACKEND`` / ``--backend``.
 
 Determinism: a worker receives only (characterizer, spec chunk,
 n_samples, seed) and regenerates its cells' draws locally via
@@ -78,30 +78,25 @@ def _sample_chunk(
     n_samples: int,
     seed: int,
     global_draws: Optional[GlobalDraws],
-    sample_indices: Sequence[int],
     trace: Optional[TraceHandle] = None,
 ) -> List[List[Cell]]:
-    """Worker: characterize a (cell chunk, sample block) tile.
+    """Worker: characterize one chunk of cells for every sample.
 
-    Returns one list of cells per sample index, in block order.
+    Returns one list of cells per cell of the chunk, in sample order.
     """
     tracer = install_worker_tracer(trace)
     with tracer.span(
-        "characterize.chunk", n_cells=len(specs), n_samples=len(sample_indices)
+        "characterize.chunk", n_cells=len(specs), n_samples=n_samples
     ):
         draws = characterizer.sample_arc_draws(specs, n_samples, seed)
         columns = [
             characterizer.characterize_cell_samples(
-                spec, draws[spec.name], list(sample_indices), global_draws
+                spec, draws[spec.name], range(n_samples), global_draws
             )
             for spec in specs
         ]
-        tile: List[List[Cell]] = [
-            [column[row] for column in columns]
-            for row in range(len(sample_indices))
-        ]
     tracer.flush_counters()
-    return tile
+    return columns
 
 
 def characterize_statistical_cells(
@@ -137,46 +132,19 @@ def characterize_sample_cells(
     n_workers: int = 1,
     backend: Union[str, ExecutorBackend, None] = None,
 ) -> List[List[Cell]]:
-    """Fan per-sample characterization out over (cell, sample) tiles.
+    """Fan per-sample characterization out over cell chunks.
 
     Returns ``cells[k][i]``: the cell of ``specs[i]`` under Monte-Carlo
     sample ``k``, bit-identical to the serial double loop.
-
-    The vectorized kernel evaluates each cell's full sample tensor in
-    one shot, so splitting the sample axis would only repeat that work
-    per block — it shards over cells alone.  The scalar kernel keeps
-    the (cell chunk, sample block) tiling for load balance.
     """
     specs = list(specs)
     resolved = resolve_backend(backend, n_workers)
-    if characterizer.kernel == "vectorized":
-        cell_chunks = chunk_indices(len(specs), 4 * resolved.n_workers)
-        sample_blocks = [range(n_samples)]
-    else:
-        cell_chunks = chunk_indices(len(specs), 2 * resolved.n_workers)
-        sample_blocks = chunk_indices(n_samples, resolved.n_workers)
-    tiles = [
-        (block, chunk)
-        for block in sample_blocks
-        for chunk in cell_chunks
-    ]
+    chunks = chunk_indices(len(specs), 4 * resolved.n_workers)
     tasks = [
-        (
-            characterizer,
-            [specs[i] for i in chunk],
-            n_samples,
-            seed,
-            global_draws,
-            list(block),
-        )
-        for block, chunk in tiles
+        (characterizer, [specs[i] for i in chunk], n_samples, seed, global_draws)
+        for chunk in chunks
     ]
-    results = resolved.map_tasks(_sample_chunk, tasks)
-    cells: List[List[Optional[Cell]]] = [
-        [None] * len(specs) for _ in range(n_samples)
-    ]
-    for (block, chunk), tile in zip(tiles, results):
-        for row, k in enumerate(block):
-            for column, i in enumerate(chunk):
-                cells[k][i] = tile[row][column]
-    return cells
+    columns: List[List[Cell]] = []
+    for tile in resolved.map_tasks(_sample_chunk, tasks):
+        columns.extend(tile)
+    return [[column[k] for column in columns] for k in range(n_samples)]

@@ -67,7 +67,7 @@ def default_evaluate(
 ) -> TuningComparison:
     """Evaluate one sweep point in a fresh serial flow (the default).
 
-    Module-level and picklable so the process/queue backends can ship
+    Module-level and picklable so the process backend can ship
     it to workers (lint rule PROC002).
     """
     return _sweep_worker(config, point)
@@ -140,7 +140,6 @@ class TuningService:
             config = FlowConfig.from_env(
                 scale=scale,
                 jobs=self.config.n_workers,
-                kernel=self.config.kernel,
                 backend=self.config.backend,
                 cache=self.config.cache,
             )

@@ -16,12 +16,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import groupby
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
 from repro.errors import TimingError
-from repro.kernels.dispatch import resolve_kernel
 from repro.kernels.sta import evaluate_table_groups
 from repro.liberty.model import TimingArc
 from repro.observe import get_tracer
@@ -36,7 +35,6 @@ def _arc_delay_transition(
     arc: TimingArc,
     slews: np.ndarray,
     loads: np.ndarray,
-    kernel: Optional[str] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Worst (rise/fall-merged) delay and output transition of an arc."""
     delay_tables = arc.delay_tables()
@@ -44,7 +42,7 @@ def _arc_delay_transition(
     if not delay_tables or not transition_tables:
         raise TimingError("timing arc lacks delay or transition tables")
     delay, transition = evaluate_table_groups(
-        [delay_tables, transition_tables], [slews, slews], [loads, loads], kernel
+        [delay_tables, transition_tables], [slews, slews], [loads, loads]
     )
     return delay, transition
 
@@ -113,34 +111,25 @@ def analyze(
     graph: TimingGraph,
     clock_period: float,
     guard_band: float = GUARD_BAND_NS,
-    kernel: Optional[str] = None,
 ) -> TimingResult:
-    """Run one full forward + backward STA pass.
-
-    ``kernel`` selects the evaluation kernel (see :mod:`repro.kernels`):
-    ``"vectorized"`` interpolates whole topological levels at once,
-    ``"scalar"`` is the per-query reference; ``None`` adopts the active
-    kernel.  Results are bit-identical either way.
-    """
+    """Run one full forward + backward STA pass."""
     if clock_period <= guard_band:
         raise TimingError(
             f"clock period {clock_period} ns must exceed the guard band "
             f"{guard_band} ns"
         )
-    kernel = resolve_kernel(kernel)
     tracer = get_tracer()
     tracer.add("sta.analyze_calls", 1)
     tracer.add("sta.node_visits", len(graph.net_names))
     tracer.add("sta.arc_evaluations", graph.n_arcs)
     with tracer.span("sta.analyze", nets=len(graph.net_names), arcs=graph.n_arcs):
-        return _analyze(graph, clock_period, guard_band, kernel)
+        return _analyze(graph, clock_period, guard_band)
 
 
 def _analyze(
     graph: TimingGraph,
     clock_period: float,
     guard_band: float,
-    kernel: Optional[str] = None,
 ) -> TimingResult:
     config = graph.config
     n_nets = len(graph.net_names)
@@ -167,7 +156,7 @@ def _analyze(
         )
         clock_slews = np.full(q_ids.size, config.clock_slew)
         delays, transitions = _arc_delay_transition(
-            arc, clock_slews, graph.loads[q_ids], kernel
+            arc, clock_slews, graph.loads[q_ids]
         )
         arrival[q_ids] = delays
         slew[q_ids] = transitions
@@ -200,10 +189,10 @@ def _analyze(
         slews_list = [slew[src] for src in src_list]
         loads_list = [graph.loads[dst] for dst in dst_list]
         delays_list = evaluate_table_groups(
-            delay_groups, slews_list, loads_list, kernel
+            delay_groups, slews_list, loads_list
         )
         transitions_list = evaluate_table_groups(
-            transition_groups, slews_list, loads_list, kernel
+            transition_groups, slews_list, loads_list
         )
         for indices, src, dst, delays, transitions in zip(
             indices_list, src_list, dst_list, delays_list, transitions_list

@@ -23,7 +23,7 @@ Design roll-up over the worst paths per unique endpoint (eq. 11)::
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -46,22 +46,19 @@ def _step_sigma_tables(library: Library, step: PathStep) -> Tuple[Lut, ...]:
     return tables
 
 
-def step_sigma(
-    library: Library, step: PathStep, kernel: Optional[str] = None
-) -> float:
+def step_sigma(library: Library, step: PathStep) -> float:
     """Delay sigma of one path step (worst of rise/fall tables)."""
     tables = _step_sigma_tables(library, step)
     (values,) = evaluate_table_groups(
         [tables],
         [np.asarray([step.slew], dtype=float)],
         [np.asarray([step.load], dtype=float)],
-        kernel,
     )
     return float(values[0])
 
 
 def _step_sigmas(
-    library: Library, steps: Sequence[PathStep], kernel: Optional[str] = None
+    library: Library, steps: Sequence[PathStep]
 ) -> Tuple[float, ...]:
     """Sigmas of all steps of one path in one whole-path kernel call."""
     groups: List[Tuple[Lut, ...]] = [
@@ -71,7 +68,6 @@ def _step_sigmas(
         groups,
         [np.asarray([step.slew], dtype=float) for step in steps],
         [np.asarray([step.load], dtype=float) for step in steps],
-        kernel,
     )
     return tuple(float(value[0]) for value in values)
 
@@ -129,10 +125,9 @@ def path_statistics(
     path: TimingPath,
     library: Library,
     rho: float = 0.0,
-    kernel: Optional[str] = None,
 ) -> PathStatistics:
     """Mean and sigma of a path (eqs. 5, 9/10)."""
-    sigmas = _step_sigmas(library, path.steps, kernel)
+    sigmas = _step_sigmas(library, path.steps)
     mean = float(sum(step.delay for step in path.steps))
     return PathStatistics(
         mean=mean,
@@ -182,13 +177,12 @@ def design_statistics(
     paths: Sequence[TimingPath],
     library: Library,
     rho: float = 0.0,
-    kernel: Optional[str] = None,
 ) -> DesignStatistics:
     """Eq. (11) over the given worst paths."""
     if not paths:
         raise TimingError("design statistics need at least one path")
     stats = tuple(
-        path_statistics(path, library, rho=rho, kernel=kernel) for path in paths
+        path_statistics(path, library, rho=rho) for path in paths
     )
     mean = float(sum(p.mean for p in stats))
     sigma = float(np.sqrt(sum(p.sigma**2 for p in stats)))

@@ -83,14 +83,14 @@ class TestConfigs:
 
     def test_environment_selection(self, monkeypatch):
         monkeypatch.setenv("REPRO_SCALE", "paper")
-        assert FlowConfig.from_environment().design.width == 32
+        assert FlowConfig.from_env().design.width == 32
         monkeypatch.setenv("REPRO_SCALE", "quick")
-        assert FlowConfig.from_environment().design.width < 32
+        assert FlowConfig.from_env().design.width < 32
         monkeypatch.setenv("REPRO_SCALE", "bogus")
         from repro.errors import ReproError
 
         with pytest.raises(ReproError):
-            FlowConfig.from_environment()
+            FlowConfig.from_env()
 
 
 class TestPathMonteCarlo:

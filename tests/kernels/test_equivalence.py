@@ -1,11 +1,10 @@
 """Scalar-vs-vectorized bit-identity across the whole pipeline.
 
-The contract of :mod:`repro.kernels`: the vectorized production kernel
-and the scalar reference kernel are two schedules of the *same*
-IEEE-754 operations — every statistical LUT, every per-sample library,
-every STA array and every design statistic must match bit-for-bit,
-across worker counts and seeds, and the kernel choice must never
-invalidate a warm cache artifact.
+The contract of :mod:`repro.kernels`: the vectorized production code
+and the scalar oracle (:mod:`tests.kernels.oracle`) are two schedules
+of the *same* IEEE-754 operations — every statistical LUT, every
+per-sample library, every STA array and every design statistic must
+match bit-for-bit, across worker counts and seeds.
 """
 
 from __future__ import annotations
@@ -13,18 +12,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.characterization.characterize import (
-    Characterizer,
-    characterization_call_count,
-    reset_characterization_call_count,
-)
+from repro.characterization.characterize import Characterizer
 from repro.characterization.grids import GridConfig
-from repro.flow.experiment import FlowConfig
-from repro.parallel.cache import characterization_key
 from repro.sta.engine import analyze
 from repro.sta.graph import TimingGraph
 from repro.sta.paths import extract_worst_paths
 from repro.sta.statistics import design_statistics, path_statistics, step_sigma
+from tests.kernels.oracle import ScalarCharacterizer, use_scalar_sta
 from tests.parallel.test_equivalence import assert_libraries_bit_identical
 
 #: Interpolation needs >= 2 points per axis; 3x3 keeps interior points.
@@ -32,7 +26,8 @@ SMALL_GRID = GridConfig(n_slew=3, n_load=3)
 
 
 def _characterizer(kernel, grid=SMALL_GRID, **kwargs):
-    return Characterizer(grid=grid, kernel=kernel, **kwargs)
+    factory = ScalarCharacterizer if kernel == "scalar" else Characterizer
+    return factory(grid=grid, **kwargs)
 
 
 class TestCharacterizationEquivalence:
@@ -110,13 +105,14 @@ class TestStaEquivalence:
 
     @pytest.mark.parametrize("netlist_name", ["chain_netlist", "adder_netlist"])
     def test_analysis_bit_identical(
-        self, netlist_name, statistical_library, request
+        self, netlist_name, statistical_library, request, monkeypatch
     ):
         graph = TimingGraph(
             request.getfixturevalue(netlist_name), statistical_library
         )
-        scalar = analyze(graph, 2.0, kernel="scalar")
-        vectorized = analyze(graph, 2.0, kernel="vectorized")
+        vectorized = analyze(graph, 2.0)
+        use_scalar_sta(monkeypatch)
+        scalar = analyze(graph, 2.0)
         for name in self.RESULT_ARRAYS:
             assert np.array_equal(
                 getattr(scalar, name), getattr(vectorized, name)
@@ -126,89 +122,28 @@ class TestStaEquivalence:
             assert launch == vectorized.launches[q_net]
 
     def test_path_and_design_statistics_bit_identical(
-        self, adder_netlist, statistical_library
+        self, adder_netlist, statistical_library, monkeypatch
     ):
         graph = TimingGraph(adder_netlist, statistical_library)
         result = analyze(graph, 2.0)
         paths = extract_worst_paths(result)
         assert paths
-        scalar = design_statistics(paths, statistical_library, kernel="scalar")
-        vectorized = design_statistics(
-            paths, statistical_library, kernel="vectorized"
-        )
-        assert scalar == vectorized
-        for path in paths[:3]:
-            assert path_statistics(
-                path, statistical_library, kernel="scalar"
-            ) == path_statistics(path, statistical_library, kernel="vectorized")
-            for step in path.steps:
-                assert step_sigma(
-                    statistical_library, step, kernel="scalar"
-                ) == step_sigma(statistical_library, step, kernel="vectorized")
-
-
-class TestFingerprintInvariance:
-    def test_characterization_key_ignores_kernel(self, small_specs):
-        """The cache key is built from an explicit payload the kernel
-        is excluded from — warm artifacts stay valid across kernels."""
-        keys = {
-            characterization_key(
-                _characterizer(kernel), small_specs[:6], 6, 4, False, "stat"
-            )
-            for kernel in ("scalar", "vectorized")
-        }
-        assert len(keys) == 1
-
-    def test_scale_name_ignores_kernel(self):
-        from dataclasses import replace
-
-        config = FlowConfig.tiny()
-        assert replace(config, kernel="scalar").scale_name() == \
-            config.scale_name() == "tiny"
-
-    def test_statlib_fingerprint_ignores_kernel(self):
-        from repro.flow.experiment import TuningFlow
-
-        keys = {
-            TuningFlow(FlowConfig(kernel=kernel, cache=False)).statlib_key
-            for kernel in ("scalar", "vectorized")
-        }
-        assert len(keys) == 1
-
-
-class TestWarmArtifactsAcrossKernels:
-    @pytest.fixture()
-    def cache_dir(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-        return tmp_path / "cache"
-
-    def test_vectorized_cold_serves_scalar_warm(self, cache_dir, small_specs):
-        """A cache written by one kernel is a valid warm hit for the
-        other: zero characterization calls, bit-identical library."""
-        from repro.parallel import LibraryCache
-
-        specs = small_specs[:6]
-        cold = _characterizer("vectorized", cache=LibraryCache())
-        reset_characterization_call_count()
-        cold_library = cold.statistical_library(specs, n_samples=5, seed=8)
-        assert characterization_call_count() > 0
-
-        warm = _characterizer("scalar", cache=LibraryCache())
-        reset_characterization_call_count()
-        warm_library = warm.statistical_library(specs, n_samples=5, seed=8)
-        assert characterization_call_count() == 0
-        assert_libraries_bit_identical(cold_library, warm_library)
-
-    def test_scalar_cold_serves_vectorized_warm(self, cache_dir, small_specs):
-        from repro.parallel import LibraryCache
-
-        specs = small_specs[:4]
-        cold = _characterizer("scalar", cache=LibraryCache())
-        cold_libraries = cold.sample_libraries(specs, n_samples=4, seed=6)
-
-        warm = _characterizer("vectorized", cache=LibraryCache())
-        reset_characterization_call_count()
-        warm_libraries = warm.sample_libraries(specs, n_samples=4, seed=6)
-        assert characterization_call_count() == 0
-        for lib_cold, lib_warm in zip(cold_libraries, warm_libraries):
-            assert_libraries_bit_identical(lib_cold, lib_warm)
+        vectorized = design_statistics(paths, statistical_library)
+        vectorized_paths = [
+            path_statistics(path, statistical_library) for path in paths[:3]
+        ]
+        vectorized_steps = [
+            step_sigma(statistical_library, step)
+            for path in paths[:3]
+            for step in path.steps
+        ]
+        use_scalar_sta(monkeypatch)
+        assert design_statistics(paths, statistical_library) == vectorized
+        assert [
+            path_statistics(path, statistical_library) for path in paths[:3]
+        ] == vectorized_paths
+        assert [
+            step_sigma(statistical_library, step)
+            for path in paths[:3]
+            for step in path.steps
+        ] == vectorized_steps

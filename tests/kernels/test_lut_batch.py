@@ -6,7 +6,7 @@ once; these properties hold it bit-for-bit to the scalar
 monotone grids and query points well outside the characterized ranges
 (the clamping path on both axes), and pin the group-level
 :func:`~repro.kernels.sta.evaluate_table_groups` max-merge to its
-scalar twin.
+scalar twin in :mod:`tests.kernels.oracle`.
 """
 
 from __future__ import annotations
@@ -17,10 +17,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import LibertyError
-from repro.kernels.lut import LutBatch, batch_interpolate, interpolate_many_scalar
+from repro.kernels.lut import LutBatch, batch_interpolate
 from repro.kernels.sta import evaluate_table_groups
 from repro.liberty.lut import bilinear_interpolate, bilinear_interpolate_many
 from repro.liberty.model import Lut
+from tests.kernels.oracle import interpolate_many_scalar, scalar_evaluate_table_groups
 from tests.liberty.test_lut_properties import POINTS, luts
 
 
@@ -114,8 +115,8 @@ class TestScalarReference:
     @given(lut=luts(), points=st.lists(POINTS, min_size=1, max_size=12))
     @settings(max_examples=80, deadline=None)
     def test_interpolate_many_scalar_equals_vectorized_lut(self, lut, points):
-        """The scalar-kernel reference and the vectorized LUT helper
-        are two routes to the same bits."""
+        """The scalar oracle and the vectorized LUT helper are two
+        routes to the same bits."""
         slews = np.array([p[0] for p in points])
         loads = np.array([p[1] for p in points])
         assert np.array_equal(
@@ -127,7 +128,7 @@ class TestScalarReference:
     @settings(max_examples=40, deadline=None)
     def test_broadcasting_preserves_per_element_results(self, lut):
         """An outer-product (column, row) query equals its flattened
-        element-by-element evaluation, for both kernels."""
+        element-by-element evaluation."""
         grid = interpolate_many_scalar(
             lut, lut.index_1[:, None], lut.index_2[None, :]
         )
@@ -143,19 +144,15 @@ class TestEvaluateTableGroups:
     @settings(max_examples=80, deadline=None)
     def test_vectorized_equals_scalar_per_group(self, groups, data):
         """Whole-level evaluation — homogeneous or heterogeneous table
-        shapes, any group sizes — matches the scalar kernel bit-for-bit."""
+        shapes, any group sizes — matches the scalar oracle bit-for-bit."""
         queries = [
             data.draw(st.lists(POINTS, min_size=1, max_size=8))
             for _ in groups
         ]
         slews_list = [np.array([p[0] for p in points]) for points in queries]
         loads_list = [np.array([p[1] for p in points]) for points in queries]
-        vectorized = evaluate_table_groups(
-            groups, slews_list, loads_list, kernel="vectorized"
-        )
-        scalar = evaluate_table_groups(
-            groups, slews_list, loads_list, kernel="scalar"
-        )
+        vectorized = evaluate_table_groups(groups, slews_list, loads_list)
+        scalar = scalar_evaluate_table_groups(groups, slews_list, loads_list)
         assert len(vectorized) == len(scalar) == len(groups)
         for fast, reference in zip(vectorized, scalar):
             assert np.array_equal(fast, reference)
@@ -164,17 +161,15 @@ class TestEvaluateTableGroups:
     @settings(max_examples=40, deadline=None)
     def test_broadcast_queries_keep_their_shape(self, tables):
         """A broadcast (n, 1) x (1, m) query comes back with the full
-        (n, m) shape, equal across kernels."""
+        (n, m) shape, equal to the scalar oracle."""
         slews = tables[0].index_1[:, None]
         loads = tables[0].index_2[None, :]
         # two groups force the stacked-gather path
         (fast_a, fast_b) = evaluate_table_groups(
-            [tables, tables[:1]], [slews, slews], [loads, loads],
-            kernel="vectorized",
+            [tables, tables[:1]], [slews, slews], [loads, loads]
         )
-        (ref_a, ref_b) = evaluate_table_groups(
-            [tables, tables[:1]], [slews, slews], [loads, loads],
-            kernel="scalar",
+        (ref_a, ref_b) = scalar_evaluate_table_groups(
+            [tables, tables[:1]], [slews, slews], [loads, loads]
         )
         expected = (tables[0].index_1.size, tables[0].index_2.size)
         assert fast_a.shape == ref_a.shape == expected

@@ -101,7 +101,7 @@ class TestConfigValidation:
 
         monkeypatch.setenv("REPRO_SCALE", "tiyn")
         with pytest.raises(ConfigError, match="tiyn"):
-            FlowConfig.from_environment()
+            FlowConfig.from_env()
 
     def test_config_error_is_a_repro_error(self):
         """ConfigError slots into the package exception hierarchy."""
@@ -113,7 +113,7 @@ class TestConfigValidation:
 
         monkeypatch.setenv("REPRO_JOBS", "many")
         with pytest.raises(ConfigError, match="REPRO_JOBS"):
-            FlowConfig.from_environment()
+            FlowConfig.from_env()
 
     def test_negative_jobs_raises(self, monkeypatch):
         """REPRO_JOBS must be >= 0 (0 = one worker per CPU)."""
@@ -121,7 +121,7 @@ class TestConfigValidation:
 
         monkeypatch.setenv("REPRO_JOBS", "-2")
         with pytest.raises(ConfigError, match=">= 0"):
-            FlowConfig.from_environment()
+            FlowConfig.from_env()
 
     def test_valid_environment_accepted(self, monkeypatch):
         """The happy path still works, whitespace and case tolerated."""
@@ -129,7 +129,7 @@ class TestConfigValidation:
 
         monkeypatch.setenv("REPRO_SCALE", " Tiny ")
         monkeypatch.setenv("REPRO_JOBS", "3")
-        config = FlowConfig.from_environment()
+        config = FlowConfig.from_env()
         assert config.n_workers == 3
 
 
@@ -139,8 +139,7 @@ class TestFromEnvPrecedence:
     def test_defaults_without_env(self, monkeypatch):
         from repro.flow.experiment import FlowConfig
 
-        for name in ("REPRO_SCALE", "REPRO_JOBS", "REPRO_KERNEL",
-                     "REPRO_BACKEND"):
+        for name in ("REPRO_SCALE", "REPRO_JOBS", "REPRO_BACKEND"):
             monkeypatch.delenv(name, raising=False)
         config = FlowConfig.from_env()
         assert config.scale_name() == "quick"
@@ -153,12 +152,10 @@ class TestFromEnvPrecedence:
 
         monkeypatch.setenv("REPRO_SCALE", "tiny")
         monkeypatch.setenv("REPRO_JOBS", "4")
-        monkeypatch.setenv("REPRO_KERNEL", "scalar")
         monkeypatch.setenv("REPRO_BACKEND", "serial")
         config = FlowConfig.from_env()
         assert config.scale_name() == "tiny"
         assert config.n_workers == 4
-        assert config.kernel == "scalar"
         assert config.backend == "serial"
 
     def test_explicit_argument_beats_environment(self, monkeypatch):
@@ -166,15 +163,13 @@ class TestFromEnvPrecedence:
 
         monkeypatch.setenv("REPRO_SCALE", "tiny")
         monkeypatch.setenv("REPRO_JOBS", "4")
-        monkeypatch.setenv("REPRO_KERNEL", "scalar")
         monkeypatch.setenv("REPRO_BACKEND", "serial")
         config = FlowConfig.from_env(
-            scale="quick", jobs=2, kernel="vectorized", backend="process",
+            scale="quick", jobs=2, backend="process",
             cache=False,
         )
         assert config.scale_name() == "quick"
         assert config.n_workers == 2
-        assert config.kernel == "vectorized"
         assert config.backend == "process"
         assert config.cache is False
 
@@ -185,8 +180,6 @@ class TestFromEnvPrecedence:
             FlowConfig.from_env(scale="bogus")
         with pytest.raises(ConfigError, match=">= 0"):
             FlowConfig.from_env(jobs=-1)
-        with pytest.raises(ConfigError, match="unknown kernel"):
-            FlowConfig.from_env(kernel="turbo")
         with pytest.raises(ConfigError, match="unknown backend"):
             FlowConfig.from_env(backend="cloud")
 
@@ -210,14 +203,6 @@ class TestFromEnvPrecedence:
 
         config = FlowConfig.tiny()
         assert replace(config, metrics=False) == config
-
-    def test_from_environment_is_a_thin_alias(self, monkeypatch):
-        """The original entry point and from_env agree."""
-        from repro.flow.experiment import FlowConfig
-
-        monkeypatch.setenv("REPRO_SCALE", "tiny")
-        monkeypatch.delenv("REPRO_JOBS", raising=False)
-        assert FlowConfig.from_environment() == FlowConfig.from_env()
 
     def test_build_context_goes_through_from_env(self, monkeypatch):
         """CLI knobs override the environment via the one resolver."""

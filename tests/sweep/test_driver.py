@@ -194,9 +194,9 @@ class TestBackendEquivalence:
         self, tmp_path, monkeypatch
     ):
         """Acceptance: the same cold grid produces identical comparison
-        lists on the serial, process and queue backends."""
+        lists on the serial and process backends."""
         reference = None
-        for backend in ("serial", "process", "queue"):
+        for backend in ("serial", "process"):
             monkeypatch.setenv(
                 "REPRO_CACHE_DIR", str(tmp_path / f"cache-{backend}")
             )
