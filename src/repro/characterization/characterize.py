@@ -139,7 +139,8 @@ class Characterizer:
         #: statistical library, energy-sigma) tables.
         self.include_power = include_power
         #: Optional :class:`~repro.parallel.cache.LibraryCache`; when
-        #: set, library-level drivers memoize their results on disk.
+        #: set, library-level drivers memoize their results in its
+        #: artifact store.
         self.cache = cache
         #: Default worker count of the library-level drivers
         #: (1 = serial, 0 = one per CPU; see ``repro.parallel``).
@@ -595,9 +596,7 @@ class Characterizer:
                 )
                 if cached is not None:
                     span.set(status="hit")
-                    tracer.add("store.library.hit", 1)
                     return cached
-                tracer.add("store.library.miss", 1)
                 span.set(status="miss")
             return self._compute_sample_libraries(
                 specs, n_samples, seed, include_global, n_workers, use_cache
@@ -673,9 +672,7 @@ class Characterizer:
                 )
                 if cached is not None:
                     span.set(status="hit")
-                    tracer.add("store.library.hit", 1)
                     return cached
-                tracer.add("store.library.miss", 1)
                 span.set(status="miss")
             return self._compute_statistical_library(
                 specs, n_samples, seed, include_global, name, n_workers, use_cache

@@ -448,7 +448,7 @@ class TuningFlow:
             from repro.parallel import LibraryCache
 
             self._characterizer = Characterizer(
-                cache=LibraryCache() if self.config.cache else None,
+                cache=LibraryCache(self._store) if self._store is not None else None,
                 n_workers=self.config.n_workers,
                 backend=self.config.backend,
             )
@@ -563,26 +563,28 @@ class TuningFlow:
         store = self._store
         tracer = self.tracer
         if store is not None:
-            start = time.perf_counter()
-            summary_payload = store.load("synth", synth_key)
-            paths_payload = store.load("paths", path_key)
-            stats_payload = store.load("stats", stat_key)
+            loads = []
+            for stage, key in (
+                ("synth", synth_key),
+                ("paths", path_key),
+                ("stats", stat_key),
+            ):
+                start = time.perf_counter()
+                payload = store.load(stage, key)
+                loads.append((stage, key, payload, time.perf_counter() - start))
+            summary_payload, paths_payload, stats_payload = (
+                payload for _stage, _key, payload, _seconds in loads
+            )
             if (
                 summary_payload is not None
                 and paths_payload is not None
                 and stats_payload is not None
             ):
-                elapsed = (time.perf_counter() - start) / 3
-                for stage, key in (
-                    ("synth", synth_key),
-                    ("paths", path_key),
-                    ("stats", stat_key),
-                ):
-                    self._pipeline.note(stage, key, "hit", elapsed)
+                for stage, key, _payload, seconds in loads:
+                    self._pipeline.note(stage, key, "hit", seconds)
                     tracer.record_span(
-                        f"stage.{stage}", elapsed, key=key[:12], status="hit"
+                        f"stage.{stage}", seconds, key=key[:12], status="hit"
                     )
-                    tracer.add("store.artifact.hit", 1)
                 return SynthesisRun(
                     clock_period=constraints.clock_period,
                     summary=RunSummary.from_payload(summary_payload),
@@ -600,7 +602,6 @@ class TuningFlow:
             summary = RunSummary.from_result(result)
             if store is not None:
                 store.store("synth", synth_key, summary.to_payload())
-                tracer.add("store.artifact.miss", 1)
             self._pipeline.note(
                 "synth", synth_key, status, time.perf_counter() - start
             )
@@ -610,7 +611,6 @@ class TuningFlow:
             paths = extract_worst_paths(result.timing)
             if store is not None:
                 store.store("paths", path_key, [p.to_payload() for p in paths])
-                tracer.add("store.artifact.miss", 1)
             self._pipeline.note(
                 "paths", path_key, status, time.perf_counter() - start
             )
@@ -620,7 +620,6 @@ class TuningFlow:
             stats = design_statistics(paths, self.statistical_library)
             if store is not None:
                 store.store("stats", stat_key, stats.to_payload())
-                tracer.add("store.artifact.miss", 1)
             self._pipeline.note(
                 "stats", stat_key, status, time.perf_counter() - start
             )

@@ -8,16 +8,19 @@ The end-to-end evaluation is a chain of pure stages::
 
 Each stage has a canonical **content fingerprint** — a sha256 over a
 sorted-JSON rendering of every input that can change its output — and
-a serializable **artifact** persisted in the generalized
+a serializable **artifact** persisted in the one
 :class:`~repro.parallel.artifacts.ArtifactStore`.  Fingerprints chain:
 the tuning stage folds in the statistical library's characterization
 key, the synthesis stage folds in the tuning fingerprint (or the
 baseline sentinel), and so on, so a change anywhere upstream
 invalidates exactly the artifacts it can affect.
 
-Layout under ``$REPRO_CACHE_DIR`` (or ``~/.cache/repro``)::
+Layout under ``$REPRO_CACHE_DIR`` (or ``~/.cache/repro``) — one store,
+``.npz`` for the libraries (:mod:`repro.parallel.cache`), gzip-JSON for
+the rest::
 
-    stat-<key>.npz            characterized library   (repro.parallel.cache)
+    stat-<key>.npz            statistical library      (mean/sigma LUTs)
+    samples-<key>.npz         Monte-Carlo libraries    (per-sample LUTs)
     tuning-<key>.json.gz      TuningResult             (windows, thresholds)
     synth-<key>.json.gz       RunSummary               (met, area, histogram)
     paths-<key>.json.gz       worst endpoint paths     (full step data)
@@ -26,14 +29,14 @@ Layout under ``$REPRO_CACHE_DIR`` (or ``~/.cache/repro``)::
 
 Every stage resolution appends a :class:`StageRecord` (stage id, key,
 hit/miss, wall time) to the flow's :class:`RunManifest`, surfaced via
-``python -m repro run ... --manifest`` and ``python -m repro cache
-stats``.
+``python -m repro run ... --manifest``; ``python -m repro store
+stats`` counts the stored entries by stage.
 
 The sweep fan-out (:func:`sweep_comparisons`) runs independent
 ``(clock period, method, parameter)`` evaluation points on the
 configured :class:`~repro.parallel.backends.ExecutorBackend` (serial
 or process pool).  Workers rebuild the
-flow from the (picklable) config, hit the shared on-disk caches for the
+flow from the (picklable) config, hit the shared on-disk store for the
 library and the per-period baselines, and return plain
 :class:`~repro.flow.metrics.TuningComparison` values which the parent
 reassembles in submission order — deterministic and bit-identical to
@@ -306,7 +309,6 @@ class ArtifactPipeline:
                 if payload is not None:
                     value = decode(payload)
                     span.set(status="hit")
-                    tracer.add("store.artifact.hit", 1)
                     self.manifest.record(
                         stage, key, "hit", time.perf_counter() - start
                     )
@@ -315,7 +317,6 @@ class ArtifactPipeline:
             if self.store is not None:
                 self.store.store(stage, key, encode(value))
                 status = "miss"
-                tracer.add("store.artifact.miss", 1)
             else:
                 status = "computed"
             span.set(status=status)
@@ -324,10 +325,9 @@ class ArtifactPipeline:
 
     def note(self, stage: str, key: str, status: str, seconds: float) -> None:
         """Record a stage resolved outside :meth:`resolve` (e.g. the
-        characterization stage, whose artifact lives in the ``.npz``
-        library cache).  The callers wrap the timed region in their own
-        trace span and count their own store hits; this only appends
-        the manifest record."""
+        characterization stage, whose ``.npz`` artifact the library
+        codec reads).  The callers wrap the timed region in their own
+        trace span; this only appends the manifest record."""
         self.manifest.record(stage, key, status, seconds)
 
 

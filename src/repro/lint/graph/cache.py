@@ -8,21 +8,17 @@ source tree (sorted relative paths + per-file content hashes + the
 model schema version), so a warm run hashes the files, loads one JSON
 document, and parses nothing.
 
-The cache lives under the same root the artifact store uses
-(``$REPRO_CACHE_DIR``, else ``~/.cache/repro``) but the resolution is
-duplicated here rather than imported from :mod:`repro.parallel.cache`
-— the lint layer sits *below* ``repro.parallel`` in the declared
-layering and must not import upward to save four lines.
-
-Writes publish atomically (temp file + ``os.replace``) so two
-concurrent lint runs never expose a torn cache entry.
+The cache lives in ``lintgraph/`` under the root every on-disk file
+of the package shares (:func:`repro.storage.cache_root`), and writes
+go through :func:`repro.storage.publish`, so two concurrent lint runs
+never expose a torn cache entry.  Caching is best effort: a cache
+directory that cannot be written only costs the next run a rebuild.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence, Tuple
@@ -30,6 +26,7 @@ from typing import Optional, Sequence, Tuple
 from repro.lint.engine import iter_python_files
 from repro.lint.graph.builder import build_graph
 from repro.lint.graph.model import GRAPH_SCHEMA_VERSION, ProgramGraph
+from repro.storage import cache_root, publish
 
 
 @dataclass
@@ -43,11 +40,9 @@ class GraphBuildReport:
     parsed_files: int
 
 
-def default_cache_dir() -> Path:
-    """``$REPRO_CACHE_DIR/lintgraph`` or ``~/.cache/repro/lintgraph``."""
-    env = os.environ.get("REPRO_CACHE_DIR")
-    base = Path(env).expanduser() if env else Path.home() / ".cache" / "repro"
-    return base / "lintgraph"
+def graph_cache_dir() -> Path:
+    """``lintgraph/`` under :func:`repro.storage.cache_root`."""
+    return cache_root() / "lintgraph"
 
 
 def source_tree_hash(
@@ -73,7 +68,7 @@ def load_cached_graph(
     digest: str, cache_dir: Optional[Path] = None
 ) -> Optional[ProgramGraph]:
     """The cached graph for a tree digest, or ``None``."""
-    directory = cache_dir if cache_dir is not None else default_cache_dir()
+    directory = cache_dir if cache_dir is not None else graph_cache_dir()
     cache_path = directory / f"{digest}.json"
     try:
         payload = json.loads(cache_path.read_text(encoding="utf-8"))
@@ -93,18 +88,12 @@ def store_graph(
     digest: str, graph: ProgramGraph, cache_dir: Optional[Path] = None
 ) -> None:
     """Publish a graph under its tree digest (atomic, best effort)."""
-    directory = cache_dir if cache_dir is not None else default_cache_dir()
-    cache_path = directory / f"{digest}.json"
+    directory = cache_dir if cache_dir is not None else graph_cache_dir()
+    blob = json.dumps(
+        graph.to_payload(), sort_keys=True, separators=(",", ":")
+    ).encode("utf-8")
     try:
-        directory.mkdir(parents=True, exist_ok=True)
-        temp_path = directory / f".{digest}.{os.getpid()}.tmp"
-        temp_path.write_text(
-            json.dumps(
-                graph.to_payload(), sort_keys=True, separators=(",", ":")
-            ),
-            encoding="utf-8",
-        )
-        os.replace(temp_path, cache_path)
+        publish(directory / f"{digest}.json", lambda handle: handle.write(blob))
     except OSError:  # pragma: no cover - read-only cache dir etc.
         pass
 

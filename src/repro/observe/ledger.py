@@ -39,6 +39,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Union
 
+from repro.storage import cache_root
+
 #: Schema version folded into every ledger record.
 LEDGER_VERSION = 1
 
@@ -48,10 +50,8 @@ LEDGER_FILENAME = "ledger.jsonl"
 
 def default_ledger_path() -> Path:
     """The ledger's home: ``$REPRO_CACHE_DIR`` (or ``~/.cache/repro``)
-    next to the library cache and the artifact store."""
-    from repro.parallel.cache import default_cache_dir
-
-    return default_cache_dir() / LEDGER_FILENAME
+    next to the artifact store's entries."""
+    return cache_root() / LEDGER_FILENAME
 
 
 def host_info() -> Dict[str, Any]:

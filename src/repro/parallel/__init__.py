@@ -14,13 +14,16 @@ provides the two halves:
   regenerate exactly the draws the serial loop would have used and the
   results are bit-identical to serial execution, for any worker count
   and any chunking.
-* :mod:`repro.parallel.cache` — an on-disk library cache
-  (``$REPRO_CACHE_DIR`` or ``~/.cache/repro``) keyed by a content hash
-  of (catalog spec, grid, technology/corner/mismatch parameters, seed,
-  sample count) that stores the mean/sigma LUT arrays as ``.npz`` and
-  rebuilds full Liberty libraries from them without re-running the
-  delay model.  Writes are atomic (temp file + ``os.replace``) so a
-  killed run can never poison later runs.
+* :mod:`repro.parallel.artifacts` — the one content-addressed
+  on-disk store (``$REPRO_CACHE_DIR`` or ``~/.cache/repro``) of every
+  flow stage: gzip-JSON records, and ``.npz`` arrays for the
+  characterized libraries.  Writes are atomic and unreadable entries
+  heal, so a killed run can never poison later runs.
+* :mod:`repro.parallel.cache` — the library codec on top of that
+  store: a content hash of (catalog spec, grid, technology/corner/
+  mismatch parameters, seed, sample count) keys the mean/sigma LUT
+  arrays, from which full Liberty libraries are rebuilt without
+  re-running the delay model.
 
 * :mod:`repro.parallel.backends` — the pluggable execution layer every
   fan-out site dispatches through: an :class:`~repro.parallel.
@@ -34,7 +37,7 @@ All layers thread through :class:`~repro.characterization.
 characterize.Characterizer` (``n_workers=...``, ``cache=...``,
 ``backend=...``), :class:`~repro.flow.experiment.FlowConfig` and the
 ``python -m repro`` CLI (``--jobs``, ``--backend``, ``--no-cache``,
-``cache stats|clear``).
+``store stats|clear``).
 """
 
 from __future__ import annotations
@@ -53,13 +56,12 @@ from repro.parallel.backends import (
     resolve_backend,
     validate_backend,
 )
-from repro.parallel.cache import CacheStats, LibraryCache
+from repro.parallel.cache import LibraryCache
 
 __all__ = [
     "ArtifactStats",
     "ArtifactStore",
     "BACKEND_NAMES",
-    "CacheStats",
     "DEFAULT_BACKEND",
     "ExecutorBackend",
     "LibraryCache",

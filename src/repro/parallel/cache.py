@@ -1,23 +1,16 @@
-"""On-disk library cache keyed by characterization content.
+"""The characterized-library codec of the artifact store.
 
 A statistical (or per-sample) library is a pure function of a small
 configuration: the catalog specs, the characterization grid, the
 technology/corner/mismatch parameters, the power switch, the seed and
-the sample count.  The cache hashes exactly that configuration
-(sha256 over a canonical JSON rendering) and stores the resulting LUT
-value arrays in a compressed ``.npz`` file; everything else — cell
-shells, pin capacitances, axes, templates — is rebuilt from the specs
-on load, which keeps files small and immune to model-object drift.
-
-Durability: files are written to a temporary sibling and moved into
-place with :func:`os.replace`, which is atomic on POSIX and Windows —
-a killed run leaves at worst a stray ``*.tmp`` file, never a truncated
-cache entry.  Unreadable or structurally wrong entries are treated as
-misses and deleted, so a corrupted cache heals itself on the next run.
-
-The cache directory is ``$REPRO_CACHE_DIR`` when set, else
-``~/.cache/repro``.  Bump :data:`CACHE_VERSION` whenever the delay
-model or the stored layout changes meaning.
+the sample count.  :func:`characterization_key` hashes exactly that
+configuration (sha256 over a canonical JSON rendering), and
+:class:`LibraryCache` stores the library's LUT value arrays under that
+key as an array stage (``stat`` or ``samples``) of the flow's
+:class:`~repro.parallel.artifacts.ArtifactStore`; everything else —
+cell shells, pin capacitances, axes, templates — is rebuilt from the
+specs on load, which keeps entries small and immune to model-object
+drift.  Durability, validation and self-healing are the store's.
 """
 
 from __future__ import annotations
@@ -25,9 +18,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import os
-import tempfile
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -35,10 +25,7 @@ import numpy as np
 
 from repro.cells.catalog import CellSpec
 from repro.liberty.model import Library
-from repro.observe.catalog import STORE_LIBRARY_BYTES, STORE_LIBRARY_EVENTS
-
-#: Format/semantics version folded into every cache key.
-CACHE_VERSION = 1
+from repro.parallel.artifacts import ARTIFACT_VERSION, ArtifactStore
 
 #: LUT slots a statistical-library entry may store, core slots first.
 STATISTICAL_SLOTS = (
@@ -68,18 +55,10 @@ SAMPLE_SLOTS = (
 _SAMPLE_REQUIRED = SAMPLE_SLOTS[:4]
 
 
-def default_cache_dir() -> Path:
-    """``$REPRO_CACHE_DIR`` when set, else ``~/.cache/repro``."""
-    override = os.environ.get("REPRO_CACHE_DIR")
-    if override:
-        return Path(override).expanduser()
-    return Path.home() / ".cache" / "repro"
-
-
 def spec_fingerprint(spec: CellSpec) -> dict:
     """Everything about a spec that characterization results depend on.
 
-    Shared by the library cache key and the artifact pipeline's catalog
+    Shared by the library key and the artifact pipeline's catalog
     stage fingerprint (:mod:`repro.flow.pipeline`).
     """
     function = spec.function
@@ -118,7 +97,7 @@ def characterization_key(
     content) and re-applied when a cached library is rebuilt.
     """
     payload = {
-        "version": CACHE_VERSION,
+        "version": ARTIFACT_VERSION,
         "kind": kind,
         "n_samples": n_samples,
         "seed": seed,
@@ -139,25 +118,11 @@ def _arc_key(cell: str, output_pin: str, related_pin: str, slot: str) -> str:
     return "\t".join((cell, output_pin, related_pin, slot))
 
 
-@dataclass(frozen=True)
-class CacheStats:
-    """Summary of a cache directory's contents."""
-
-    directory: Path
-    entries: int
-    total_bytes: int
-
-    def to_text(self) -> str:
-        """One-line human-readable rendering."""
-        mib = self.total_bytes / (1024 * 1024)
-        return f"{self.directory}: {self.entries} entries, {mib:.1f} MiB"
-
-
 class LibraryCache:
-    """Content-addressed on-disk store of characterized libraries."""
+    """Stores characterized libraries in an :class:`ArtifactStore`."""
 
-    def __init__(self, directory: Optional[Path] = None):
-        self.directory = Path(directory) if directory else default_cache_dir()
+    def __init__(self, store: Optional[ArtifactStore] = None):
+        self.store = store if store is not None else ArtifactStore()
 
     # ------------------------------------------------------------------
     # Statistical libraries
@@ -188,11 +153,13 @@ class LibraryCache:
     ) -> Optional[Library]:
         """Rebuild a cached statistical library, or ``None`` on miss.
 
-        A file that exists but cannot be read back intact (truncated,
-        garbage, missing arrays) counts as a miss and is deleted.
+        An entry that reads back but lacks an arc's arrays counts as a
+        miss and is healed like any unreadable store entry.
         """
-        path = self._path(characterizer, specs, n_samples, seed, include_global, "stat")
-        arrays = self._read(path, "stat", n_samples, len(list(specs)))
+        key = characterization_key(
+            characterizer, specs, n_samples, seed, include_global, "stat"
+        )
+        arrays = self.store.load_arrays("stat", key)
         if arrays is None:
             return None
         library = characterizer.library_shell(
@@ -205,8 +172,8 @@ class LibraryCache:
                     arrays, spec, STATISTICAL_SLOTS, _STATISTICAL_REQUIRED
                 )
                 library.add_cell(characterizer.cell_from_tables(spec, tables))
-        except (KeyError, ValueError):
-            self._discard(path)
+        except (KeyError, ValueError) as error:
+            self.store.discard("stat", key, error)
             return None
         return library
 
@@ -230,9 +197,10 @@ class LibraryCache:
                             arrays[_arc_key(cell.name, pin.name, arc.related_pin, slot)] = (
                                 table.values
                             )
-        path = self._path(characterizer, specs, n_samples, seed, include_global, "stat")
-        self._write(path, arrays, "stat", n_samples, len(list(specs)))
-        return path
+        key = characterization_key(
+            characterizer, specs, n_samples, seed, include_global, "stat"
+        )
+        return self.store.store_arrays("stat", key, arrays)
 
     # ------------------------------------------------------------------
     # Per-sample libraries
@@ -247,10 +215,10 @@ class LibraryCache:
         include_global: bool,
     ) -> Optional[List[Library]]:
         """Rebuild the N cached Monte-Carlo sample libraries, or ``None``."""
-        path = self._path(
+        key = characterization_key(
             characterizer, specs, n_samples, seed, include_global, "samples"
         )
-        arrays = self._read(path, "samples", n_samples, len(list(specs)))
+        arrays = self.store.load_arrays("samples", key)
         if arrays is None:
             return None
         libraries: List[Library] = []
@@ -269,8 +237,8 @@ class LibraryCache:
                     }
                     library.add_cell(characterizer.cell_from_tables(spec, tables))
                 libraries.append(library)
-        except (KeyError, ValueError, IndexError):
-            self._discard(path)
+        except (KeyError, ValueError, IndexError) as error:
+            self.store.discard("samples", key, error)
             return None
         return libraries
 
@@ -300,109 +268,22 @@ class LibraryCache:
                             for library in libraries
                         ])
                         arrays[_arc_key(cell.name, pin.name, arc.related_pin, slot)] = stack
-        path = self._path(
+        key = characterization_key(
             characterizer, specs, n_samples, seed, include_global, "samples"
         )
-        self._write(path, arrays, "samples", n_samples, len(list(specs)))
-        return path
-
-    # ------------------------------------------------------------------
-    # Maintenance
-    # ------------------------------------------------------------------
-
-    def stats(self) -> CacheStats:
-        """Entry count and total size of the cache directory."""
-        entries = 0
-        total = 0
-        if self.directory.is_dir():
-            for path in self.directory.glob("*.npz"):
-                entries += 1
-                total += path.stat().st_size
-        return CacheStats(directory=self.directory, entries=entries, total_bytes=total)
-
-    def clear(self) -> int:
-        """Delete every cache entry (and stray temp file); returns the
-        number of entries removed."""
-        removed = 0
-        if self.directory.is_dir():
-            for path in self.directory.glob("*.npz"):
-                self._discard(path)
-                removed += 1
-            for path in self.directory.glob("*.tmp"):
-                self._discard(path)
-        return removed
+        return self.store.store_arrays("samples", key, arrays)
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
 
     def _path(self, characterizer, specs, n_samples, seed, include_global, kind) -> Path:
+        """The store file of one library entry (``kind``: ``stat`` or
+        ``samples``)."""
         key = characterization_key(
             characterizer, specs, n_samples, seed, include_global, kind
         )
-        return self.directory / f"{kind}-{key[:40]}.npz"
-
-    def _write(
-        self,
-        path: Path,
-        arrays: Dict[str, np.ndarray],
-        kind: str,
-        n_samples: int,
-        n_cells: int,
-    ) -> None:
-        """Atomic write: temp file in the same directory + os.replace."""
-        meta = json.dumps({
-            "version": CACHE_VERSION,
-            "kind": kind,
-            "n_samples": n_samples,
-            "n_cells": n_cells,
-        })
-        self.directory.mkdir(parents=True, exist_ok=True)
-        fd, tmp_name = tempfile.mkstemp(
-            dir=self.directory, prefix=path.stem + "-", suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                np.savez_compressed(handle, __meta__=np.array(meta), **arrays)
-            os.replace(tmp_name, path)
-            STORE_LIBRARY_BYTES.labels(direction="written").inc(
-                path.stat().st_size
-            )
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
-
-    def _read(
-        self, path: Path, kind: str, n_samples: int, n_cells: int
-    ) -> Optional[Dict[str, np.ndarray]]:
-        """Load and validate an entry; any defect is a miss + delete."""
-        if not path.is_file():
-            STORE_LIBRARY_EVENTS.labels(event="miss").inc()
-            return None
-        try:
-            size = path.stat().st_size
-            with np.load(path, allow_pickle=False) as data:
-                meta = json.loads(str(data["__meta__"]))
-                if (
-                    meta.get("version") != CACHE_VERSION
-                    or meta.get("kind") != kind
-                    or meta.get("n_samples") != n_samples
-                    or meta.get("n_cells") != n_cells
-                ):
-                    raise ValueError("cache metadata mismatch")
-                arrays = {
-                    key: data[key] for key in data.files if key != "__meta__"
-                }
-            STORE_LIBRARY_EVENTS.labels(event="hit").inc()
-            STORE_LIBRARY_BYTES.labels(direction="read").inc(size)
-            return arrays
-        except Exception:
-            self._discard(path)
-            STORE_LIBRARY_EVENTS.labels(event="miss").inc()
-            return None
+        return self.store.path_for(kind, key)
 
     @staticmethod
     def _cell_tables(
@@ -426,10 +307,3 @@ class LibraryCache:
                 )
             tables[(input_pin, output_pin)] = arc_tables
         return tables
-
-    @staticmethod
-    def _discard(path: Path) -> None:
-        try:
-            path.unlink()
-        except OSError:
-            pass

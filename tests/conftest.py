@@ -18,7 +18,7 @@ from repro.characterization.characterize import Characterizer
 
 @pytest.fixture(scope="session", autouse=True)
 def _isolated_cache_dir(tmp_path_factory):
-    """Point the on-disk library cache at a per-session temp directory.
+    """Point the on-disk artifact store at a per-session temp directory.
 
     Keeps the suite hermetic (never touches ``~/.cache/repro``) while
     still exercising the cache layer wherever flows enable it.

@@ -12,7 +12,10 @@ zero-recharacterization test).
 from __future__ import annotations
 
 import dataclasses
+import time
+from typing import Callable, NamedTuple, Tuple
 
+import numpy as np
 import pytest
 
 from repro.characterization.characterize import (
@@ -31,7 +34,13 @@ from repro.flow.pipeline import (
 )
 from repro.core.methods import method_by_name
 from repro.netlist.generators.microcontroller import MicrocontrollerParams
-from repro.parallel.artifacts import ArtifactStore, canonical_json, fingerprint
+from repro.observe.catalog import STORE_ARTIFACT_EVENTS
+from repro.parallel.artifacts import (
+    ARTIFACT_VERSION,
+    ArtifactStore,
+    canonical_json,
+    fingerprint,
+)
 from repro.sta.paths import TimingPath
 from repro.sta.statistics import DesignStatistics
 from repro.synth.constraints import SynthesisConstraints
@@ -62,84 +71,163 @@ def _mini_config(**overrides) -> FlowConfig:
 
 @pytest.fixture()
 def cache_dir(tmp_path, monkeypatch):
-    """A fresh, empty artifact store / library cache per test."""
+    """A fresh, empty artifact store per test."""
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "store"))
     return tmp_path / "store"
 
 
+class Codec(NamedTuple):
+    """One of the store's two codecs, driven through one interface."""
+
+    stages: Tuple[str, str]
+    save: Callable
+    load: Callable
+    make: Callable
+
+
+#: gzip-JSON records and ``.npz`` arrays.
+CODECS = {
+    "json": Codec(
+        ("synth", "stats"),
+        ArtifactStore.store,
+        ArtifactStore.load,
+        lambda i: {"met": True, "area": 123.5 + i, "rows": [[1, 2], [3, 4]]},
+    ),
+    "npz": Codec(
+        ("stat", "samples"),
+        ArtifactStore.store_arrays,
+        ArtifactStore.load_arrays,
+        lambda i: {"INV\tY\tA\tcell_rise": np.arange(6.0).reshape(2, 3) + i},
+    ),
+}
+
+
+def _same(a, b) -> bool:
+    """Payload equality, array-exact for the ``.npz`` codec."""
+    if isinstance(a, dict) and isinstance(b, dict) and a.keys() == b.keys():
+        return all(
+            np.array_equal(a[name], b[name])
+            and np.asarray(a[name]).dtype == np.asarray(b[name]).dtype
+            if isinstance(a[name], np.ndarray)
+            else a[name] == b[name]
+            for name in a
+        )
+    return a == b
+
+
+def _events(event: str) -> float:
+    return STORE_ARTIFACT_EVENTS.labels(event=event).value
+
+
 class TestArtifactStore:
+    """The store contract, held by both codecs."""
+
     def test_roundtrip(self, tmp_path):
         store = ArtifactStore(tmp_path)
-        payload = {"met": True, "area": 123.5, "rows": [[1, 2], [3, 4]]}
-        key = fingerprint(payload)
-        assert not store.has("synth", key)
-        store.store("synth", key, payload)
-        assert store.has("synth", key)
-        assert store.load("synth", key) == payload
+        for (stage, _other), save, load, make in CODECS.values():
+            payload = make(0)
+            key = fingerprint({"stage": stage})
+            assert not store.has(stage, key)
+            path = save(store, stage, key, payload)
+            assert path == store.path_for(stage, key)
+            assert store.has(stage, key)
+            assert _same(load(store, stage, key), payload)
+            # publishing the same key again keeps one healthy entry
+            save(store, stage, key, payload)
+            assert _same(load(store, stage, key), payload)
+        assert sorted(path.name.split("-")[0] for path in tmp_path.iterdir()) == [
+            "stat",
+            "synth",
+        ]
+        assert store.path_for("stat", "0" * 64).suffix == ".npz"
+        assert store.path_for("synth", "0" * 64).name.endswith(".json.gz")
 
     def test_missing_returns_none(self, tmp_path):
-        store = ArtifactStore(tmp_path)
-        assert store.load("synth", "0" * 64) is None
+        store = ArtifactStore(tmp_path / "never-created")
+        for (stage, _other), _save, load, _make in CODECS.values():
+            misses = _events("miss")
+            assert load(store, stage, "0" * 64) is None
+            assert _events("miss") == misses + 1
+        stats = store.stats()
+        assert stats.entries == 0
+        assert stats.total_bytes == 0
+        assert "0 artifacts" in stats.to_text()
 
     def test_corrupt_entry_self_heals(self, tmp_path):
         store = ArtifactStore(tmp_path)
-        key = fingerprint({"x": 1})
-        store.store("paths", key, [1, 2, 3])
-        path = store.path_for("paths", key)
-        path.write_bytes(b"not gzip at all")
-        assert store.load("paths", key) is None
-        assert not path.exists()  # poisoned entry dropped
+        for (stage, _other), save, load, make in CODECS.values():
+            key = fingerprint({"x": 1})
+            path = save(store, stage, key, make(1))
+            path.write_bytes(b"neither gzip nor zip")
+            healed = _events("healed")
+            assert load(store, stage, key) is None
+            assert not path.exists()  # poisoned entry dropped
+            assert _events("healed") == healed + 1
 
-    def test_wrong_envelope_discarded(self, tmp_path):
+    def test_wrong_envelope_discarded(self, tmp_path, monkeypatch):
         store = ArtifactStore(tmp_path)
-        key = fingerprint({"x": 2})
-        store.store("stats", key, {"sigma": 0.5})
-        # same bytes presented under another stage must not resolve
-        other = ArtifactStore(tmp_path)
-        store.path_for("synth", key).write_bytes(
-            store.path_for("stats", key).read_bytes()
+        for (stage, other), save, load, make in CODECS.values():
+            key = fingerprint({"x": 2})
+            save(store, stage, key, make(2))
+            # same bytes presented under another stage must not resolve
+            store.path_for(other, key).write_bytes(
+                store.path_for(stage, key).read_bytes()
+            )
+            assert load(ArtifactStore(tmp_path), other, key) is None
+            assert not store.path_for(other, key).exists()
+        # nor may an entry written under another format version
+        monkeypatch.setattr(
+            "repro.parallel.artifacts.ARTIFACT_VERSION", ARTIFACT_VERSION + 1
         )
-        assert other.load("synth", key) is None
+        for (stage, _other), _save, load, _make in CODECS.values():
+            assert load(store, stage, fingerprint({"x": 2})) is None
+        assert store.stats().entries == 0
 
     def test_stats_and_clear(self, tmp_path):
         store = ArtifactStore(tmp_path)
-        for i in range(3):
-            store.store("tuning", fingerprint({"i": i}), {"i": i})
+        for (stage, _other), save, _load, make in CODECS.values():
+            for i in range(3):
+                save(store, stage, fingerprint({"i": i}), make(i))
+        # a write killed before its rename leaves a temp file: never an
+        # entry, but clear() removes it
+        stray = tmp_path / "stat-deadbeef-12345.tmp"
+        stray.write_bytes(b"partial write")
         stats = store.stats()
-        assert stats.entries == 3
+        assert stats.entries == 6
         assert stats.total_bytes > 0
         assert str(tmp_path) in stats.to_text()
-        assert store.clear() == 3
+        assert store.clear() == 6
+        assert not stray.exists()
         assert store.stats().entries == 0
 
     def test_self_heal_is_observable(self, tmp_path):
-        """Healing a poisoned entry bumps the healed counter and
-        attaches a ``store.self_heal`` event to the open span."""
+        """Healing a poisoned entry attaches a ``store.self_heal`` event
+        to the open span."""
         from repro.observe import MemorySink, Tracer, set_tracer
 
         store = ArtifactStore(tmp_path)
-        key = fingerprint({"x": 3})
-        store.store("paths", key, [1, 2, 3])
-        store.path_for("paths", key).write_bytes(b"junk")
-        tracer = Tracer(MemorySink())
-        previous = set_tracer(tracer)
-        try:
-            with tracer.span("stage.paths") as span:
-                assert store.load("paths", key) is None
-        finally:
-            set_tracer(previous)
-        assert tracer.counters()["store.artifact.healed"] == 1
-        (event,) = span.events
-        assert event["name"] == "store.self_heal"
-        assert event["attrs"]["stage"] == "paths"
+        for (stage, _other), save, load, make in CODECS.values():
+            key = fingerprint({"x": 3})
+            save(store, stage, key, make(3)).write_bytes(b"junk")
+            tracer = Tracer(MemorySink())
+            previous = set_tracer(tracer)
+            try:
+                with tracer.span(f"stage.{stage}") as span:
+                    assert load(store, stage, key) is None
+            finally:
+                set_tracer(previous)
+            (event,) = span.events
+            assert event["name"] == "store.self_heal"
+            assert event["attrs"]["stage"] == stage
 
     def test_stats_break_down_by_stage(self, tmp_path):
         store = ArtifactStore(tmp_path)
         for i in range(2):
             store.store("tuning", fingerprint({"i": i}), {"i": i})
         store.store("synth", fingerprint({"j": 9}), {"j": 9})
+        store.store_arrays("stat", fingerprint({"k": 1}), CODECS["npz"].make(1))
         stats = store.stats()
-        assert stats.by_stage == {"tuning": 2, "synth": 1}
+        assert stats.by_stage == {"tuning": 2, "synth": 1, "stat": 1}
         assert "tuning" in stats.to_text()
 
     def test_canonical_json_is_key_order_independent(self):
@@ -293,6 +381,26 @@ class TestWarmPipeline:
             if r.stage in ("synth", "paths", "stats")
         }
         assert statuses == {("synth", "hit"), ("paths", "hit"), ("stats", "hit")}
+
+    def test_warm_hits_time_each_store_load(self, cache_dir, monkeypatch):
+        """Each synth/paths/stats hit records the time of its own store
+        load, not a third of the three."""
+        TuningFlow(_mini_config()).baseline(4.0)
+        delays = {"synth": 0.01, "stats": 0.08, "paths": 0.16}
+        load = ArtifactStore.load
+
+        def slow_load(store, stage, key):
+            time.sleep(delays.get(stage, 0.0))
+            return load(store, stage, key)
+
+        monkeypatch.setattr(ArtifactStore, "load", slow_load)
+        warm_flow = TuningFlow(_mini_config())
+        warm_flow.baseline(4.0)
+        seconds = {
+            r.stage: r.seconds for r in warm_flow.manifest.records if r.stage in delays
+        }
+        assert all(seconds[stage] >= delay for stage, delay in delays.items())
+        assert sorted(seconds, key=seconds.get) == ["synth", "stats", "paths"]
 
     def test_warm_fig10_zero_synthesis(self, cache_dir, monkeypatch):
         """Acceptance: a warm ``run fig10`` performs zero synthesis."""

@@ -244,13 +244,21 @@ class TestCliSurface:
         assert args.no_cache and args.manifest and args.profile
         assert args.trace == "out.jsonl"
 
-    def test_store_stats(self, capsys):
-        """``store stats`` reports both on-disk halves and exits 0."""
-        from repro.__main__ import main
+    def test_store_stats(self, tmp_path, monkeypatch, capsys):
+        """``store stats`` counts ``.npz`` libraries and gzip-JSON
+        artifacts of the one store, by stage, and exits 0."""
+        import numpy as np
 
+        from repro.__main__ import main
+        from repro.parallel import ArtifactStore
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        store = ArtifactStore()
+        store.store_arrays("stat", "a" * 64, {"x": np.zeros(3)})
+        store.store("synth", "b" * 64, {"met": True})
         assert main(["store", "stats"]) == 0
         out = capsys.readouterr().out
-        assert "entries" in out and "artifacts" in out
+        assert "2 artifacts" in out and "(1 stat, 1 synth)" in out
 
     def test_cache_alias_removed(self, capsys):
         """The deprecated ``cache`` alias is gone: the parser rejects it

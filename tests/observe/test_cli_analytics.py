@@ -77,14 +77,21 @@ def baseline_path(tmp_path, ledger_path):
 
 
 class TestStoreClear:
-    """``store clear`` empties both on-disk halves and exits 0."""
+    """``store clear`` empties the one store, both codecs, and exits 0."""
 
     def test_clear_reports_both_halves(self, tmp_path, monkeypatch, capsys):
+        import numpy as np
+
+        from repro.parallel import ArtifactStore
+
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        store = ArtifactStore()
+        library = store.store_arrays("stat", "a" * 64, {"x": np.zeros(3)})
+        record = store.store("synth", "b" * 64, {"met": True})
         assert cli.main(["store", "clear"]) == 0
         out = capsys.readouterr().out
-        assert "cache entries" in out
-        assert "stage artifacts" in out
+        assert f"removed 2 artifacts from {tmp_path / 'cache'}" in out
+        assert not library.exists() and not record.exists()
 
 
 class TestTraceCli:

@@ -7,7 +7,7 @@ Two contracts matter at the flow level:
   job also exercises);
 * the exported counters tell the truth — ``synth.calls`` matches the
   synthesizer's own call counter, and a warm store resolves a run with
-  zero ``store.artifact.miss``.
+  zero store misses (``repro_store_artifact_total{event="miss"}``).
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from repro.observe import (
     load_trace,
     set_tracer,
 )
+from repro.observe.catalog import STORE_ARTIFACT_EVENTS
 from repro.synth.synthesizer import (
     reset_synthesis_call_count,
     synthesis_call_count,
@@ -33,6 +34,11 @@ from repro.synth.synthesizer import (
 PERIOD = 4.0
 METHOD = "cell_slew_slope"
 PARAMETER = 0.03
+
+
+def _store_events(event: str) -> float:
+    """The registry's store lookups of one event, so far."""
+    return STORE_ARTIFACT_EVENTS.labels(event=event).value
 
 
 def _mini_config(**overrides) -> FlowConfig:
@@ -56,7 +62,7 @@ def _mini_config(**overrides) -> FlowConfig:
 
 @pytest.fixture()
 def cache_dir(tmp_path, monkeypatch):
-    """A fresh, empty artifact store / library cache per test."""
+    """A fresh, empty artifact store per test."""
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "store"))
     return tmp_path / "store"
 
@@ -119,24 +125,26 @@ class TestCounterTruth:
         cold compare (baseline + tuned), 0 on a warm repeat."""
         tracer = Tracer(MemorySink())
         reset_synthesis_call_count()
+        misses = _store_events("miss")
         flow = TuningFlow(dataclasses.replace(_mini_config(), tracer=tracer))
         flow.compare(PERIOD, METHOD, PARAMETER)
         assert synthesis_call_count() == 2
         assert tracer.counters()["synth.calls"] == 2
         assert tracer.counters()["characterize.cells"] > 0
-        assert tracer.counters()["store.artifact.miss"] > 0
+        assert _store_events("miss") > misses
 
         set_tracer(None)
         warm_tracer = Tracer(MemorySink())
         reset_synthesis_call_count()
+        misses, hits = _store_events("miss"), _store_events("hit")
         warm_flow = TuningFlow(
             dataclasses.replace(_mini_config(), tracer=warm_tracer)
         )
         warm_flow.compare(PERIOD, METHOD, PARAMETER)
         assert synthesis_call_count() == 0
         assert warm_tracer.counters().get("synth.calls", 0) == 0
-        assert warm_tracer.counters().get("store.artifact.miss", 0) == 0
-        assert warm_tracer.counters()["store.artifact.hit"] > 0
+        assert _store_events("miss") == misses
+        assert _store_events("hit") > hits
 
     def test_warm_run_records_hit_spans(self, cache_dir):
         """Warm stage resolutions still appear in the trace, marked

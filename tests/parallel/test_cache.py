@@ -1,13 +1,15 @@
-"""On-disk cache behaviour: keys, atomicity, corruption recovery.
+"""The library codec: keys, bit-identical rebuilds, codec-level defects.
 
-A killed or interrupted run must never poison later runs: entries are
-written atomically (temp file + ``os.replace``) and any entry that
-fails to read back intact is treated as a miss and deleted.
+Libraries live in the one artifact store as ``.npz`` array entries;
+the store's own contract (atomic publish, envelope validation,
+self-healing, stats/clear) is tested over both codecs in
+``tests/flow/test_pipeline.py``.  These tests cover what the codec
+adds on top: the characterization key and the rebuild of full
+libraries from stored arrays.
 """
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.characterization.characterize import (
@@ -16,14 +18,17 @@ from repro.characterization.characterize import (
     reset_characterization_call_count,
 )
 from repro.characterization.grids import GridConfig
-from repro.parallel.cache import CACHE_VERSION, LibraryCache, characterization_key
+from repro.observe import MemorySink, Tracer, set_tracer
+from repro.observe.catalog import STORE_ARTIFACT_EVENTS
+from repro.parallel.artifacts import ARTIFACT_VERSION, ArtifactStore
+from repro.parallel.cache import LibraryCache, characterization_key
 
 from tests.parallel.test_equivalence import assert_libraries_bit_identical
 
 
 @pytest.fixture()
 def cache(tmp_path):
-    return LibraryCache(tmp_path / "cache")
+    return LibraryCache(ArtifactStore(tmp_path / "cache"))
 
 
 @pytest.fixture()
@@ -32,9 +37,13 @@ def characterizer(cache):
 
 
 def _entry(cache):
-    files = sorted(cache.directory.glob("*.npz"))
+    files = sorted(cache.store.directory.glob("*.npz"))
     assert len(files) == 1
     return files[0]
+
+
+def _healed() -> float:
+    return STORE_ARTIFACT_EVENTS.labels(event="healed").value
 
 
 class TestKeying:
@@ -81,14 +90,30 @@ class TestCorruptionRecovery:
     def test_corrupted_entry_is_a_self_healing_miss(
         self, cache, characterizer, small_specs, corrupt
     ):
-        """A damaged file must fall back to recomputation, produce the
-        exact cold result, and leave a healthy entry behind."""
+        """A damaged ``stat-*.npz`` heals like any store entry (deleted,
+        counted ``healed``, a ``store.self_heal`` event), falls back to
+        recomputation with the exact cold result, and leaves a healthy
+        entry behind."""
         specs = small_specs[:8]
         reference = characterizer.statistical_library(specs, n_samples=6, seed=1)
-        corrupt(_entry(cache))
+        entry = _entry(cache)
+        assert entry.name.startswith("stat-")
+        corrupt(entry)
 
+        tracer = Tracer(MemorySink())
+        previous = set_tracer(tracer)
+        healed = _healed()
         reset_characterization_call_count()
-        recovered = characterizer.statistical_library(specs, n_samples=6, seed=1)
+        try:
+            recovered = characterizer.statistical_library(specs, n_samples=6, seed=1)
+        finally:
+            set_tracer(previous)
+        assert _healed() == healed + 1
+        (span,) = [
+            record for record in tracer.sink.records
+            if record.get("name") == "characterize.statistical"
+        ]
+        assert [event["name"] for event in span["events"]] == ["store.self_heal"]
         assert characterization_call_count() == len(specs)
         assert_libraries_bit_identical(reference, recovered)
 
@@ -109,40 +134,49 @@ class TestCorruptionRecovery:
     def test_version_mismatch_is_a_miss(
         self, cache, characterizer, small_specs, monkeypatch
     ):
+        """An entry written under another store version never serves."""
         specs = small_specs[:4]
         characterizer.statistical_library(specs, n_samples=6, seed=1)
-        monkeypatch.setattr("repro.parallel.cache.CACHE_VERSION", CACHE_VERSION + 1)
+        monkeypatch.setattr(
+            "repro.parallel.artifacts.ARTIFACT_VERSION", ARTIFACT_VERSION + 1
+        )
         reset_characterization_call_count()
         characterizer.statistical_library(specs, n_samples=6, seed=1)
         assert characterization_call_count() == len(specs)
 
-    def test_stray_temp_files_are_ignored_and_cleared(
-        self, cache, characterizer, small_specs
+    @pytest.mark.parametrize("kind", ["stat", "samples"])
+    def test_missing_arc_entry_is_a_miss_and_deleted(
+        self, cache, characterizer, small_specs, kind
     ):
-        """A write killed between mkstemp and os.replace leaves a .tmp
-        file; it must not count as an entry and clear() removes it."""
-        characterizer.statistical_library(small_specs[:4], n_samples=6, seed=1)
-        stray = cache.directory / "stat-deadbeef-12345.tmp"
-        stray.write_bytes(b"partial write")
-        assert cache.stats().entries == 1
-        removed = cache.clear()
-        assert removed == 1
-        assert not stray.exists()
-        assert cache.stats().entries == 0
+        """An entry that reads back intact but lacks one arc's arrays is
+        a codec-level defect: a miss that deletes and heals the entry."""
+        specs = small_specs[:4]
+        if kind == "stat":
+            characterizer.statistical_library(specs, n_samples=4, seed=2)
+        else:
+            characterizer.sample_libraries(specs, n_samples=4, seed=2)
+        key = characterization_key(characterizer, specs, 4, 2, False, kind)
+        arrays = cache.store.load_arrays(kind, key)
+        dropped = sorted(name for name in arrays if name.endswith("\tcell_rise"))[0]
+        del arrays[dropped]
+        cache.store.store_arrays(kind, key, arrays)
+
+        healed = _healed()
+        if kind == "stat":
+            loaded = cache.load_statistical(characterizer, specs, 4, 2, False)
+        else:
+            loaded = cache.load_samples(characterizer, specs, 4, 2, False)
+        assert loaded is None
+        assert not cache.store.path_for(kind, key).exists()
+        assert _healed() == healed + 1
 
 
 class TestMaintenance:
-    def test_stats_on_missing_directory(self, tmp_path):
-        cache = LibraryCache(tmp_path / "never-created")
-        stats = cache.stats()
-        assert stats.entries == 0
-        assert stats.total_bytes == 0
-        assert "0 entries" in stats.to_text()
-
     def test_clear_then_recompute(self, cache, characterizer, small_specs):
+        """Clearing the store drops the library: the next run recomputes."""
         specs = small_specs[:4]
         characterizer.statistical_library(specs, n_samples=6, seed=1)
-        assert cache.clear() == 1
+        assert cache.store.clear() == 1
         reset_characterization_call_count()
         characterizer.statistical_library(specs, n_samples=6, seed=1)
         assert characterization_call_count() == len(specs)
@@ -150,20 +184,22 @@ class TestMaintenance:
     def test_atomic_write_replaces_existing_entry(
         self, cache, characterizer, small_specs
     ):
-        """Storing the same key twice keeps exactly one healthy file."""
+        """Storing the same key twice keeps exactly one entry, at the
+        path ``_path`` names, and it rebuilds bit-identically."""
         specs = small_specs[:4]
         library = characterizer.statistical_library(specs, n_samples=6, seed=1)
-        cache.store_statistical(characterizer, specs, 6, 1, False, library)
-        assert cache.stats().entries == 1
+        path = cache.store_statistical(characterizer, specs, 6, 1, False, library)
+        assert path == cache._path(characterizer, specs, 6, 1, False, "stat")
+        assert cache.store.stats().by_stage == {"stat": 1}
         loaded = cache.load_statistical(characterizer, specs, 6, 1, False)
         assert loaded is not None
         assert_libraries_bit_identical(library, loaded)
-        assert not list(cache.directory.glob("*.tmp"))
+        assert not list(cache.store.directory.glob("*.tmp"))
 
     def test_use_cache_false_bypasses_cache(self, cache, characterizer, small_specs):
         specs = small_specs[:4]
         characterizer.statistical_library(specs, n_samples=6, seed=1, use_cache=False)
-        assert cache.stats().entries == 0
+        assert cache.store.stats().entries == 0
         reference = characterizer.statistical_library(specs, n_samples=6, seed=1)
         bypass = characterizer.statistical_library(
             specs, n_samples=6, seed=1, use_cache=False
@@ -172,5 +208,15 @@ class TestMaintenance:
 
 
 def test_default_directory_honors_environment(tmp_path, monkeypatch):
+    """Every on-disk file of the package derives from one cache root."""
+    from repro.lint.graph.cache import graph_cache_dir
+    from repro.observe.ledger import default_ledger_path
+    from repro.storage import cache_root
+
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "elsewhere"))
-    assert LibraryCache().directory == tmp_path / "elsewhere"
+    root = tmp_path / "elsewhere"
+    assert cache_root() == root
+    assert ArtifactStore().directory == root
+    assert LibraryCache().store.directory == root
+    assert default_ledger_path() == root / "ledger.jsonl"
+    assert graph_cache_dir() == root / "lintgraph"
