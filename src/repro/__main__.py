@@ -115,14 +115,14 @@ def _shared_options() -> argparse.ArgumentParser:
         "--trace",
         metavar="PATH",
         default=None,
-        help="record a JSONL trace of the run (spans, counters — worker "
-        "processes included) to PATH",
+        help="record a JSONL trace of the run to PATH: spans (worker "
+        "processes included) and one record of the run's metric counts",
     )
     group.add_argument(
         "--profile",
         action="store_true",
-        help="print the per-stage time tree and counter totals when the "
-        "run finishes",
+        help="print the per-stage time tree and the run's metric counter "
+        "totals (worker processes included) when the run finishes",
     )
     group.add_argument(
         "--trace-dir",
@@ -315,7 +315,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     metrics_parser.add_argument(
         "paths", nargs="*", metavar="PATH",
-        help="metric snapshot files (JSON or spool JSONL) to merge and "
+        help="metric snapshot files (JSON, or a --trace JSONL) to merge and "
         "render; with none, scrape the live server instead",
     )
     metrics_parser.add_argument(
@@ -442,13 +442,9 @@ def _run_serve_command(args: argparse.Namespace) -> int:
     (invalid config — e.g. ``--no-cache``, which the service rejects
     because warm hits stream from the artifact store).
     """
-    import os
-    import tempfile
-
     from repro.errors import ConfigError
     from repro.flow.experiment import FlowConfig
     from repro.serve.server import TuningServer
-    from repro.observe.metrics import METRICS_SPOOL_ENV
 
     tracer = _build_run_tracer(args)
     try:
@@ -459,14 +455,6 @@ def _run_serve_command(args: argparse.Namespace) -> int:
             cache=False if args.no_cache else None,
             tracer=tracer,
         )
-        if config.metrics and not os.environ.get(METRICS_SPOOL_ENV):
-            # Give worker processes a delta spool so their counters show
-            # up in /metrics; inherited through the pool's environment.
-            fd, spool = tempfile.mkstemp(
-                prefix="repro-metrics-", suffix=".jsonl"
-            )
-            os.close(fd)
-            os.environ[METRICS_SPOOL_ENV] = spool
         server = TuningServer(
             config=config,
             host=args.host,
@@ -652,12 +640,13 @@ def _build_run_tracer(args: argparse.Namespace):
 
 
 def _report_trace(tracer, args: argparse.Namespace) -> None:
-    """Close out the run's tracer: flush, then print what was asked.
+    """Close out the run's tracer: finish, then print what was asked.
 
-    With ``--trace`` the tree is rebuilt from the file, so spans and
-    counter deltas appended by worker processes are included.
+    The tree and the counter totals are rebuilt from the sink's
+    records — the ``--trace`` file, which worker processes append
+    their spans to, or the in-memory sink of a bare ``--profile``.
     """
-    from repro.observe import Trace, load_trace, render_trace, set_tracer
+    from repro.observe import load_trace, merge_records, render_trace, set_tracer
 
     tracer.finish()
     set_tracer(None)
@@ -665,11 +654,7 @@ def _report_trace(tracer, args: argparse.Namespace) -> None:
         trace = load_trace(args.trace)
         print(f"[trace: {len(trace.spans)} spans written to {args.trace}]")
     else:
-        trace = Trace(
-            spans=[span.to_record() for span in tracer.spans],
-            counters=tracer.counters(),
-            gauges=tracer.gauges(),
-        )
+        trace = merge_records(tracer.sink.records)
     if args.profile:
         print(render_trace(trace))
 

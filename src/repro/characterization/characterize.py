@@ -182,7 +182,6 @@ class Characterizer:
         """
         if n_samples < 2:
             raise CharacterizationError("need at least 2 Monte-Carlo samples")
-        get_tracer().add("characterize.mc_samples", n_samples * len(specs))
         CHARACTERIZE_MC_SAMPLES.inc(n_samples * len(specs))
         draws: Dict[str, CellDraws] = {}
         for spec in specs:
@@ -336,10 +335,8 @@ class Characterizer:
         """
         global _characterize_calls
         _characterize_calls += 1
-        tracer = get_tracer()
-        tracer.add("characterize.cells", 1)
         CHARACTERIZE_CELLS.inc()
-        with tracer.span("characterize.cell", cell=spec.name):
+        with get_tracer().span("characterize.cell", cell=spec.name):
             return self._characterize_cell(
                 spec, draws, sample_index, global_draws, statistical
             )
@@ -549,10 +546,8 @@ class Characterizer:
         """
         global _characterize_calls
         _characterize_calls += len(sample_indices)
-        tracer = get_tracer()
-        tracer.add("characterize.cells", len(sample_indices))
         CHARACTERIZE_CELLS.inc(len(sample_indices))
-        with tracer.span(
+        with get_tracer().span(
             "characterize.cell_samples",
             cell=spec.name,
             n_samples=len(sample_indices),

@@ -479,26 +479,29 @@ class TuningFlow:
 
     @property
     def statistical_library(self) -> Library:
+        """The flow's statistical library, from the store when it holds a
+        sound entry (status ``hit``) and characterized otherwise
+        (``miss``; ``computed`` without a store)."""
         if self._statistical is None:
             with self.tracer.span("stage.statlib", key=self.statlib_key[:12]) as span:
                 start = time.perf_counter()
-                cache = self.characterizer.cache
-                if cache is None:
-                    status = "computed"
-                elif cache.has_statistical(
-                    self.characterizer,
-                    self.specs,
-                    self.config.n_samples,
-                    self.config.seed,
-                    include_global=False,
-                ):
+                characterizer, cache = self.characterizer, self.characterizer.cache
+                entry = (characterizer, self.specs, self.config.n_samples, self.config.seed, False)
+                library = None if cache is None else cache.load_statistical(*entry)
+                if library is not None:
                     status = "hit"
                 else:
-                    status = "miss"
+                    status = "computed" if cache is None else "miss"
+                    library = characterizer.statistical_library(
+                        self.specs,
+                        n_samples=self.config.n_samples,
+                        seed=self.config.seed,
+                        use_cache=False,
+                    )
+                    if cache is not None:
+                        cache.store_statistical(*entry, library)
                 span.set(status=status)
-                self._statistical = self.characterizer.statistical_library(
-                    self.specs, n_samples=self.config.n_samples, seed=self.config.seed
-                )
+                self._statistical = library
                 self._pipeline.note(
                     "statlib", self.statlib_key, status, time.perf_counter() - start
                 )

@@ -31,6 +31,7 @@ from typing import Any, Dict, List, Optional, Sequence, Union
 
 from repro.observe.export import Trace
 from repro.observe.ledger import RunRecord
+from repro.observe.render import render_counters
 
 #: Default relative wall-time growth tolerated by ``trace diff``.
 DIFF_RTOL = 0.25
@@ -144,9 +145,7 @@ def summarize_trace(trace: Trace, top: int = 40) -> str:
     if len(aggregates) > top:
         lines.append(f"... {len(aggregates) - top} more paths")
     if trace.counters:
-        lines.append("counters:")
-        for name in sorted(trace.counters):
-            lines.append(f"  {name:<54s} {trace.counters[name]:>12g}")
+        lines.append(render_counters(trace.counters))
     return "\n".join(lines)
 
 

@@ -125,3 +125,21 @@ CHARACTERIZE_MC_SAMPLES: Counter = _REGISTRY.counter(
     "repro_characterize_mc_samples_total",
     "Monte-Carlo samples evaluated",
 )
+
+# -- synthesis and timing (repro.synth, repro.sta) ----------------------
+
+#: Synthesis work by quantity: ``calls`` (one per ``synthesize``),
+#: ``sizing_iterations`` and ``buffer_instances`` (summed per call).
+SYNTH_WORK: Counter = _REGISTRY.counter(
+    "repro_synth_work_total",
+    "Synthesis work by quantity",
+    labelnames=("quantity",),
+)
+
+#: Full STA passes by quantity: ``analyze_calls``, plus the
+#: ``node_visits`` and ``arc_evaluations`` those passes made.
+STA_WORK: Counter = _REGISTRY.counter(
+    "repro_sta_work_total",
+    "Static timing analysis work by quantity",
+    labelnames=("quantity",),
+)

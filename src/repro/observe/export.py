@@ -3,16 +3,15 @@
 One trace is one JSON-Lines file: each line is a self-contained record
 — ``{"type": "span", ...}`` for finished spans (see
 :meth:`~repro.observe.tracer.Span.to_record`) or ``{"type":
-"counters", ...}`` for counter/gauge flushes.  Counter records carry
-*deltas*, so records from any number of processes sum to the true
-totals.
+"metrics", ...}`` for the metrics-registry growth the tracer saw
+(:meth:`~repro.observe.tracer.Tracer.finish`).  Metrics records carry
+*deltas*, so several of them sum to the true totals.
 
 Process safety relies on POSIX append semantics: every record is
 written as a single ``os.write`` to a file descriptor opened with
 ``O_APPEND``, so concurrent writers — the ``ProcessPoolExecutor``
 characterization and sweep workers — interleave whole lines and a
-merged trace is always parseable.  No locks or temp files are needed,
-and a worker killed mid-run loses at most its unflushed counters.
+merged trace is always parseable.  No locks or temp files are needed.
 """
 
 from __future__ import annotations
@@ -23,6 +22,8 @@ import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
+
+from repro.observe.metrics import MetricsSnapshot
 
 
 class JsonlExporter:
@@ -113,7 +114,10 @@ class MemorySink:
 
 @dataclass
 class Trace:
-    """Parsed contents of a trace: spans plus merged counters/gauges.
+    """Parsed contents of a trace: spans plus merged counter totals.
+
+    ``counters`` holds the flat ``name{label="value"}`` totals of the
+    trace's metrics records (see :meth:`MetricsSnapshot.counter_totals`).
 
     ``trace_ids`` keeps the distinct trace ids seen in file order —
     more than one means the file accumulated several runs (an
@@ -123,7 +127,6 @@ class Trace:
 
     spans: List[Dict[str, Any]] = field(default_factory=list)
     counters: Dict[str, float] = field(default_factory=dict)
-    gauges: Dict[str, Any] = field(default_factory=dict)
     trace_ids: List[str] = field(default_factory=list)
 
     def span_names(self) -> List[str]:
@@ -148,11 +151,12 @@ class Trace:
 def merge_records(records: List[Dict[str, Any]]) -> Trace:
     """Fold raw trace records into a :class:`Trace`.
 
-    Span records collect in file order; counter records (deltas) sum;
-    gauge values take the last write.  Records that are not JSON
-    objects (noise in a hand-edited or corrupted file) are skipped.
+    Span records collect in file order; metrics records (deltas) sum
+    into the counter totals.  Records that are not JSON objects (noise
+    in a hand-edited or corrupted file) are skipped.
     """
     trace = Trace()
+    metrics = MetricsSnapshot()
     for record in records:
         if not isinstance(record, dict):
             continue
@@ -162,10 +166,9 @@ def merge_records(records: List[Dict[str, Any]]) -> Trace:
             trace.trace_ids.append(trace_id)
         if kind == "span":
             trace.spans.append(record)
-        elif kind == "counters":
-            for name, value in record.get("counters", {}).items():
-                trace.counters[name] = trace.counters.get(name, 0) + value
-            trace.gauges.update(record.get("gauges", {}))
+        elif kind == "metrics":
+            metrics.merge(MetricsSnapshot.from_payload(record))
+    trace.counters = metrics.counter_totals()
     return trace
 
 

@@ -18,15 +18,13 @@ label combination is created on first touch and lives for the life of
 the registry.  All mutation goes through one registry lock, so any
 number of threads may hammer one instrument and totals stay exact.
 
-**Process safety** reuses the tracer's discipline: worker processes
-never share the parent's registry — they accumulate into their own
-(fork-inherited values are re-based away by
-:func:`install_worker_metrics`) and :func:`flush_worker_metrics`
-appends the *growth* as one JSONL record (a single ``O_APPEND``
-``os.write`` via :class:`~repro.observe.export.JsonlExporter`) to the
-spool file named by :data:`METRICS_SPOOL_ENV`.  The parent's
-:meth:`MetricsRegistry.snapshot` folds spool deltas in incrementally,
-so counter totals across any process topology are exact, not sampled.
+**Process safety**: worker processes never share the parent's
+registry — they accumulate into their own (fork-inherited values are
+re-based away by :func:`install_worker_metrics`), and the process
+backend's task wrapper hands :meth:`MetricsRegistry.take_delta` home
+with each task result, win or lose.  The parent folds it in with
+:meth:`MetricsRegistry.absorb`, so counter totals across any process
+topology are exact, not sampled.
 
 **Exposition** is Prometheus text format
 (:func:`render_prometheus` / :func:`parse_prometheus` round-trip),
@@ -52,13 +50,6 @@ from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import ConfigError, ObservabilityError
-from repro.observe.export import JsonlExporter
-
-#: Environment variable naming the worker-delta spool file.  Set by
-#: the parent (``python -m repro serve`` sets a temp default) and
-#: inherited by every worker process; workers append delta records,
-#: the parent merges them on :meth:`MetricsRegistry.snapshot`.
-METRICS_SPOOL_ENV = "REPRO_METRICS_SPOOL"
 
 #: One sample's label values, in the family's declared label order.
 LabelKey = Tuple[str, ...]
@@ -121,6 +112,14 @@ class HistogramValue:
             counts=tuple(a + b for a, b in zip(self.counts, other.counts)),
             total=self.total + other.total,
             count=self.count + other.count,
+        )
+
+    def minus(self, earlier: "HistogramValue") -> "HistogramValue":
+        """Growth since an ``earlier`` value of the same histogram."""
+        return HistogramValue(
+            counts=tuple(a - b for a, b in zip(self.counts, earlier.counts)),
+            total=self.total - earlier.total,
+            count=self.count - earlier.count,
         )
 
 
@@ -219,6 +218,36 @@ class MetricsSnapshot:
                     mine.samples[key] = existing + value
         return self
 
+    def since(self, base: "MetricsSnapshot") -> "MetricsSnapshot":
+        """Counter and histogram growth from ``base`` to this snapshot.
+
+        Gauges are levels, not growth, and drop out; so do samples that
+        did not grow.  The delta a worker ships home and the counts a
+        trace file records are both this difference.
+        """
+        delta = MetricsSnapshot()
+        for name, family in self.families.items():
+            if family.kind == "gauge":
+                continue
+            before = base.families.get(name)
+            grown: Dict[LabelKey, Value] = {}
+            for key, value in family.samples.items():
+                old = None if before is None else before.samples.get(key)
+                if isinstance(value, HistogramValue):
+                    if isinstance(old, HistogramValue):
+                        value = value.minus(old)
+                    if value.count > 0:
+                        grown[key] = value
+                else:
+                    growth = value - (old if isinstance(old, float) else 0.0)
+                    if growth > 0:
+                        grown[key] = growth
+            if grown:
+                growth = family.copy()
+                growth.samples = grown
+                delta.families[name] = growth
+        return delta
+
     def value(self, name: str, **labels: str) -> Optional[Value]:
         """Look up one sample (None when absent) — tests/dashboard."""
         family = self.families.get(name)
@@ -248,7 +277,7 @@ class MetricsSnapshot:
         return totals
 
     def to_payload(self) -> Dict[str, Any]:
-        """JSON-safe form (spool records, ``metrics --format json``)."""
+        """JSON-safe form (trace records, ``metrics --format json``)."""
         families: Dict[str, Any] = {}
         for name in sorted(self.families):
             family = self.families[name]
@@ -313,12 +342,11 @@ class MetricsSnapshot:
 class CounterChild:
     """One labeled counter sample; mutation under the registry lock."""
 
-    __slots__ = ("_family", "value", "_flushed")
+    __slots__ = ("_family", "value")
 
     def __init__(self, family: "Counter"):
         self._family = family
         self.value = 0.0
-        self._flushed = 0.0
 
     def inc(self, amount: float = 1.0) -> None:
         """Add ``amount`` (>= 0; counters are monotonic)."""
@@ -367,16 +395,13 @@ class GaugeChild:
 class HistogramChild:
     """One labeled histogram sample over the family's fixed buckets."""
 
-    __slots__ = ("_family", "counts", "total", "count", "_flushed")
+    __slots__ = ("_family", "counts", "total", "count")
 
     def __init__(self, family: "Histogram"):
         self._family = family
         self.counts = [0] * (len(family.buckets) + 1)
         self.total = 0.0
         self.count = 0
-        self._flushed: Tuple[Tuple[int, ...], float, int] = (
-            tuple(self.counts), 0.0, 0,
-        )
 
     def observe(self, value: float) -> None:
         """Record one observation (``value <= edge`` lands in edge)."""
@@ -558,10 +583,9 @@ class MetricsRegistry:
         self.enabled = True
         self._families: Dict[str, _Family] = {}
         self._pid = os.getpid()
-        #: Incremental spool-merge state: bytes consumed per path, and
-        #: the accumulated worker deltas folded so far.
-        self._spool_offsets: Dict[str, int] = {}
-        self._spool_acc: Dict[str, MetricsSnapshot] = {}
+        #: What :meth:`take_delta` last handed out (or :meth:`rebase`
+        #: inherited); the next delta is the growth since.
+        self._baseline = MetricsSnapshot()
 
     # -- registration --------------------------------------------------
 
@@ -632,15 +656,8 @@ class MetricsRegistry:
 
     # -- snapshots -----------------------------------------------------
 
-    def snapshot(self, include_spool: bool = True) -> MetricsSnapshot:
-        """Copy out every family; optionally fold in worker deltas.
-
-        With ``include_spool`` (the default) the spool file named by
-        :data:`METRICS_SPOOL_ENV` is read incrementally — only bytes
-        appended since the last snapshot are parsed, and only complete
-        (newline-terminated) lines are consumed, so a worker writing
-        concurrently can never tear a record.
-        """
+    def snapshot(self) -> MetricsSnapshot:
+        """Copy out every family."""
         with self.lock:
             snapshot = MetricsSnapshot()
             for name, family in self._families.items():
@@ -661,153 +678,81 @@ class MetricsRegistry:
                     else:
                         family_snapshot.samples[key] = child.value
                 snapshot.families[name] = family_snapshot
-            if include_spool:
-                spooled = self._collect_spool()
-                if spooled is not None:
-                    snapshot.merge(spooled)
         return snapshot
 
-    def _collect_spool(self) -> Optional[MetricsSnapshot]:
-        """Fold newly appended spool records into the accumulator."""
-        path = os.environ.get(METRICS_SPOOL_ENV)
-        if not path:
-            return None
-        try:
-            size = os.path.getsize(path)
-        except OSError:
-            return None
-        offset = self._spool_offsets.get(path, 0)
-        accumulated = self._spool_acc.get(path)
-        if accumulated is None or size < offset:
-            # A fresh or recycled (truncated) spool: start over.
-            accumulated = MetricsSnapshot()
-            self._spool_acc = {path: accumulated}
-            self._spool_offsets = {path: 0}
-            offset = 0
-        if size > offset:
-            with open(path, "rb") as handle:
-                handle.seek(offset)
-                chunk = handle.read(size - offset)
-            complete = chunk.rfind(b"\n")
-            if complete >= 0:
-                for line in chunk[: complete + 1].splitlines():
-                    record = _parse_spool_line(line)
-                    if record is not None:
-                        accumulated.merge(record)
-                self._spool_offsets[path] = offset + complete + 1
-        return accumulated
+    # -- worker deltas -------------------------------------------------
 
-    # -- worker-delta export -------------------------------------------
+    def take_delta(self) -> MetricsSnapshot:
+        """Growth since the previous delta (or :meth:`rebase`).
 
-    def flush_deltas(self, sink: Any) -> bool:
-        """Write growth since the last flush as one spool record.
-
-        Gauges are skipped — a worker's level has no meaning in the
-        parent.  Returns whether anything was written.
+        What a worker process ships home with each task result, for the
+        parent to :meth:`absorb`.  Gauges are skipped — a worker's
+        level has no meaning in the parent.
         """
         with self.lock:
-            families: Dict[str, Any] = {}
-            for name, family in self._families.items():
-                if family.kind == "gauge":
+            now = self.snapshot()
+            delta = now.since(self._baseline)
+            self._baseline = now
+        return delta
+
+    def absorb(self, delta: MetricsSnapshot) -> None:
+        """Fold another process's counter/histogram growth in.
+
+        Families the delta names but this registry lacks are registered
+        on the fly; gauge families are ignored.
+        """
+        if not self.enabled:
+            return
+        with self.lock:
+            for name, theirs in delta.families.items():
+                family: _Family
+                if theirs.kind == "counter":
+                    family = self.counter(name, theirs.help, theirs.labelnames)
+                elif theirs.kind == "histogram":
+                    family = self.histogram(
+                        name, theirs.help, theirs.labelnames, theirs.buckets
+                    )
+                else:
                     continue
-                samples: List[Dict[str, Any]] = []
-                for key, child in family._children.items():
-                    entry = _take_delta(child)
-                    if entry is not None:
-                        entry["labels"] = list(key)
-                        samples.append(entry)
-                if samples:
-                    families[name] = {
-                        "kind": family.kind,
-                        "help": family.help,
-                        "labelnames": list(family.labelnames),
-                        "buckets": list(getattr(family, "buckets", ())),
-                        "samples": samples,
-                    }
-        if not families:
-            return False
-        sink.write(
-            {"type": "metrics", "pid": os.getpid(), "families": families}
-        )
-        return True
+                for key, value in theirs.samples.items():
+                    child = family._resolve(key)
+                    if isinstance(value, HistogramValue):
+                        child.counts = [
+                            a + b for a, b in zip(child.counts, value.counts)
+                        ]
+                        child.total += value.total
+                        child.count += value.count
+                    else:
+                        child.value += value
 
     def rebase(self) -> None:
-        """Mark current values as already-flushed (and adopt this pid).
+        """Mark current values as already shipped (and adopt this pid).
 
         The fork-safety hinge: a forked worker inherits the parent's
-        totals, and without re-basing it would flush the parent's whole
-        history as its own delta — double counting everything.
+        totals, and without re-basing it would ship the parent's whole
+        history home as its own delta — double counting everything.
         """
         with self.lock:
             self._pid = os.getpid()
-            self._spool_offsets = {}
-            self._spool_acc = {}
-            for family in self._families.values():
-                for child in family._children.values():
-                    if isinstance(child, CounterChild):
-                        child._flushed = child.value
-                    elif isinstance(child, HistogramChild):
-                        child._flushed = (
-                            tuple(child.counts), child.total, child.count,
-                        )
+            self._baseline = self.snapshot()
 
     def reset(self) -> None:
-        """Zero every sample and forget spool progress (test isolation).
+        """Zero every sample (test isolation).
 
         Families survive (catalog instruments stay bound); only their
         children are dropped, so the next touch starts from zero.
         """
         with self.lock:
-            self._spool_offsets = {}
-            self._spool_acc = {}
+            self._baseline = MetricsSnapshot()
             for family in self._families.values():
                 family._children.clear()
                 if not family.labelnames:
                     family._resolve(())
 
 
-def _take_delta(child: Any) -> Optional[Dict[str, Any]]:
-    """Growth since the last flush, updating the baseline (or None)."""
-    if isinstance(child, CounterChild):
-        delta = child.value - child._flushed
-        if delta <= 0:
-            return None
-        child._flushed = child.value
-        return {"value": delta}
-    if isinstance(child, HistogramChild):
-        counts_base, total_base, count_base = child._flushed
-        if child.count <= count_base:
-            return None
-        entry = {
-            "counts": [
-                now - base for now, base in zip(child.counts, counts_base)
-            ],
-            "sum": child.total - total_base,
-            "count": child.count - count_base,
-        }
-        child._flushed = (tuple(child.counts), child.total, child.count)
-        return entry
-    return None
-
-
-def _parse_spool_line(line: bytes) -> Optional[MetricsSnapshot]:
-    """One spool record -> snapshot delta (None for noise lines)."""
-    line = line.strip()
-    if not line:
-        return None
-    try:
-        record = json.loads(line)
-    except ValueError:
-        return None
-    if not isinstance(record, dict) or record.get("type") != "metrics":
-        return None
-    return MetricsSnapshot.from_payload(record)
-
-
 # -- process-global plumbing -------------------------------------------
 
 _REGISTRY = MetricsRegistry()
-_SPOOL_SINKS: Dict[str, JsonlExporter] = {}
 
 
 def get_metrics() -> MetricsRegistry:
@@ -832,7 +777,7 @@ def install_worker_metrics() -> MetricsRegistry:
     """Prepare the registry inside a worker process.
 
     Under ``fork`` the worker inherits the parent's totals; re-base so
-    only *this process's* growth is ever flushed.  Under ``spawn`` the
+    only *this process's* growth is ever shipped home.  Under ``spawn`` the
     fresh import already starts from zero and this is a no-op.  Safe to
     call once per task — after the first call the pid matches.
     """
@@ -840,26 +785,6 @@ def install_worker_metrics() -> MetricsRegistry:
     if registry._pid != os.getpid():
         registry.rebase()
     return registry
-
-
-def flush_worker_metrics() -> bool:
-    """Append this worker's growth to the spool (one O_APPEND write).
-
-    No-op without :data:`METRICS_SPOOL_ENV` in the environment or with
-    collection disabled.  The exporter is memoized per path so a worker
-    reused across tasks keeps one file descriptor.
-    """
-    path = os.environ.get(METRICS_SPOOL_ENV)
-    if not path:
-        return False
-    registry = get_metrics()
-    if not registry.enabled:
-        return False
-    sink = _SPOOL_SINKS.get(path)
-    if sink is None:
-        sink = JsonlExporter(path)
-        _SPOOL_SINKS[path] = sink
-    return registry.flush_deltas(sink)
 
 
 # -- Prometheus text exposition ----------------------------------------
@@ -1107,10 +1032,10 @@ def _histogram_base(
 def load_metrics(paths: Iterable[Union[str, Path]]) -> MetricsSnapshot:
     """Fold on-disk metric records into one snapshot.
 
-    Accepts both spool files (one ``{"type": "metrics", ...}`` delta
-    record per line) and saved ``metrics --format json`` snapshots (a
-    single, possibly pretty-printed ``{"families": ...}`` document).
-    Noise lines in a spool skip, but a file that yields no metric
+    Accepts both JSONL files holding ``{"type": "metrics", ...}``
+    records (a trace file's counts) and saved ``metrics --format json``
+    snapshots (a single, possibly pretty-printed ``{"families": ...}``
+    document).  Noise lines in a JSONL file skip, but a file that yields no metric
     record at all raises :class:`~repro.errors.ObservabilityError` —
     a wrong path or a truncated snapshot must not render as an empty
     dashboard.
@@ -1142,7 +1067,7 @@ def load_metrics(paths: Iterable[Union[str, Path]]) -> MetricsSnapshot:
                 merged_any = True
         if not merged_any:
             raise ObservabilityError(
-                f"no metric records in {path} (expected a spool JSONL "
+                f"no metric records in {path} (expected a trace JSONL "
                 "or a 'metrics --format json' snapshot)"
             )
     return snapshot

@@ -1,20 +1,19 @@
-"""Nested-span tracing, counters and gauges.
+"""Nested-span tracing.
 
-The tracing model is deliberately small — three record kinds cover the
-whole flow:
+A **span** is one timed region of work: a name, free-form attributes,
+wall time, CPU time and the peak-RSS growth observed while it ran.
+Spans nest (per thread) and carry ``parent_id`` links, so a trace
+reconstructs the stage tree of a run: experiment -> flow stage ->
+synthesis phase -> STA pass -> per-cell characterization.  Point-in-
+time **events** ride inside the span they interrupted.
 
-* a **span** is one timed region of work: a name, free-form attributes,
-  wall time, CPU time and the peak-RSS growth observed while it ran.
-  Spans nest (per thread) and carry ``parent_id`` links, so a trace
-  reconstructs the stage tree of a run: experiment -> flow stage ->
-  synthesis phase -> STA pass -> per-cell characterization.
-* a **counter** is a monotone named total (cells characterized, MC
-  samples drawn, sizing iterations, STA node visits, cache hits and
-  misses per store).
-* a **gauge** is a last-write-wins named value (worker count, design
-  size).
+Counts are not the tracer's business: every counted event is a
+catalog instrument of the metrics registry
+(:mod:`repro.observe.catalog`).  A tracer with a sink records the
+registry's growth over its lifetime as one ``{"type": "metrics"}``
+record when it finishes, so a trace file carries the run's counts.
 
-A :class:`Tracer` owns all three plus an optional export sink (see
+A :class:`Tracer` owns the spans plus an optional export sink (see
 :mod:`repro.observe.export`).  The active tracer is a per-process
 global (:func:`get_tracer` / :func:`set_tracer`) defaulting to a
 :class:`NullTracer` whose every operation is a no-op — instrumentation
@@ -36,6 +35,8 @@ import threading
 import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
+
+from repro.observe.metrics import MetricsSnapshot, get_metrics
 
 try:
     import resource
@@ -192,10 +193,10 @@ class TraceHandle:
 
 
 class Tracer:
-    """Collects spans, counters and gauges; optionally exports them.
+    """Collects spans; optionally exports them.
 
     Thread-safe: each thread keeps its own span stack (spans nest per
-    thread), counters and the finished-span list are lock-guarded.
+    thread), and the finished-span list is lock-guarded.
     Process-safe export: every finished span is written as one
     appended JSONL line, so tracers in different processes sharing one
     file interleave without tearing (see :mod:`repro.observe.export`).
@@ -222,9 +223,11 @@ class Tracer:
         self._local = threading.local()
         self._lock = threading.Lock()
         self.spans: List[Span] = []
-        self._counters: Dict[str, float] = {}
-        self._gauges: Dict[str, Any] = {}
-        self._flushed: Dict[str, float] = {}
+        #: Registry totals when the tracer started (sinkless tracers
+        #: export nothing, so they skip the copy).
+        self._metrics_start = (
+            MetricsSnapshot() if sink is None else get_metrics().snapshot()
+        )
 
     # ------------------------------------------------------------------
     # Spans
@@ -300,18 +303,8 @@ class Tracer:
         return span
 
     # ------------------------------------------------------------------
-    # Counters and gauges
+    # Events and export
     # ------------------------------------------------------------------
-
-    def add(self, name: str, value: float = 1) -> None:
-        """Increment counter ``name`` by ``value``."""
-        with self._lock:
-            self._counters[name] = self._counters.get(name, 0) + value
-
-    def gauge(self, name: str, value: Any) -> None:
-        """Set gauge ``name`` to ``value`` (last write wins)."""
-        with self._lock:
-            self._gauges[name] = value
 
     def event(self, name: str, **attrs: Any) -> None:
         """Attach an event to this thread's innermost open span.
@@ -326,51 +319,28 @@ class Tracer:
         if stack:
             stack[-1].event(name, **attrs)
 
-    def counters(self) -> Dict[str, float]:
-        """Snapshot of all counter totals."""
-        with self._lock:
-            return dict(self._counters)
+    def finish(self) -> None:
+        """Export the registry's growth since the tracer started.
 
-    def gauges(self) -> Dict[str, Any]:
-        """Snapshot of all gauges."""
-        with self._lock:
-            return dict(self._gauges)
-
-    # ------------------------------------------------------------------
-    # Export plumbing
-    # ------------------------------------------------------------------
-
-    def flush_counters(self) -> None:
-        """Export counter growth since the previous flush.
-
-        Counter records in the trace file are *deltas*, so tracers in
-        many processes (each flushing at task end) sum correctly when
-        the file is read back; the in-memory totals are unaffected.
+        One ``{"type": "metrics"}`` record in the payload format
+        :func:`~repro.observe.metrics.load_metrics` reads; a repeated
+        ``finish`` exports only the growth since the previous one.
+        Worker counts are in it too — the process backend folds them
+        into this process's registry as each task returns.
         """
         if self.sink is None:
             return
-        with self._lock:
-            delta = {
-                name: total - self._flushed.get(name, 0)
-                for name, total in self._counters.items()
-                if total != self._flushed.get(name, 0)
-            }
-            gauges = dict(self._gauges)
-            self._flushed = dict(self._counters)
-        if delta or gauges:
+        now = get_metrics().snapshot()
+        delta = now.since(self._metrics_start)
+        self._metrics_start = now
+        if delta.families:
             self.sink.write({
-                "type": "counters",
+                "type": "metrics",
                 "trace": self.trace_id,
                 "pid": self._pid,
-                "counters": delta,
-                "gauges": gauges,
+                **delta.to_payload(),
             })
-
-    def finish(self) -> None:
-        """Flush pending counters and sync the sink."""
-        self.flush_counters()
-        if self.sink is not None:
-            self.sink.flush()
+        self.sink.flush()
 
     def handle(self) -> Optional[TraceHandle]:
         """A picklable handle for worker processes, or ``None`` when
@@ -422,17 +392,8 @@ class NullTracer(Tracer):
         """Discard the record; returns the shared dummy span."""
         return _NULL_SPAN
 
-    def add(self, name: str, value: float = 1) -> None:
-        """Discard the increment."""
-
-    def gauge(self, name: str, value: Any) -> None:
-        """Discard the value."""
-
     def event(self, name: str, **attrs: Any) -> None:
         """Discard the event."""
-
-    def flush_counters(self) -> None:
-        """Nothing to flush."""
 
     def handle(self) -> Optional[TraceHandle]:
         """Null tracers never merge across processes."""

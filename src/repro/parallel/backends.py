@@ -35,6 +35,10 @@ The contract every backend honors:
   merge into the parent's trace; the serial backend leaves the
   caller's tracer active and lets ``fn``'s default ``trace=None``
   plumbing find it.
+* **Worker counts** — out-of-process backends bring each task's
+  metrics-registry growth home with its result (or its exception) and
+  fold it into the parent's registry, so counts are exact on every
+  backend.
 * **Determinism** — a backend never changes results, so the choice
   must never enter stage fingerprints or cache keys.
 """
@@ -54,7 +58,12 @@ from repro.observe.catalog import (
     DISPATCH_CAPACITY,
     DISPATCH_PENDING,
 )
-from repro.observe.metrics import flush_worker_metrics, install_worker_metrics
+from repro.observe.metrics import (
+    MetricsRegistry,
+    MetricsSnapshot,
+    get_metrics,
+    install_worker_metrics,
+)
 
 #: The recognized backend names, in documentation order.
 BACKEND_NAMES: Tuple[str, ...] = ("serial", "process")
@@ -170,7 +179,9 @@ class ProcessBackend(ExecutorBackend):
         thread, while the caller's span is still open — the executor
         pickles arguments from its queue-feeder thread, where the
         thread-local span stack is empty and the parent link would be
-        lost.
+        lost.  Every task's metrics delta is folded into this process's
+        registry, a failed task's too; the first failure is re-raised
+        once all tasks have finished.
         """
         tasks = list(tasks)
         if not tasks:
@@ -186,7 +197,20 @@ class ProcessBackend(ExecutorBackend):
                 pool.submit(_run_worker_task, fn, tuple(task), trace, self.name)
                 for task in tasks
             ]
-            results = [future.result() for future in futures]
+            results: List[Any] = []
+            failure: Optional[Exception] = None
+            registry = get_metrics()
+            for future in futures:
+                try:
+                    result, delta = future.result()
+                except Exception as error:
+                    result, delta = None, getattr(error, "metrics_delta", None)
+                    failure = failure or error
+                if delta is not None:
+                    registry.absorb(delta)
+                results.append(result)
+        if failure is not None:
+            raise failure
         BACKEND_TASKS.labels(backend=self.name, event="completed").inc(
             len(tasks)
         )
@@ -198,25 +222,36 @@ def _run_worker_task(
     args: Task,
     trace: Optional[TraceHandle],
     backend_name: str,
-) -> Any:
-    """Worker shim: run one task with metrics plumbing around it.
+) -> Tuple[Any, MetricsSnapshot]:
+    """Worker shim: run one task, return ``(result, metrics delta)``.
 
     Module-level (PROC002) so the pool can pickle it by name.  The
     fork-inherited registry is re-based before the task runs
-    (:func:`~repro.observe.metrics.install_worker_metrics`) and this
-    process's growth — including the task wall-time observation — is
-    flushed to the spool afterwards, win or lose.  The task callable
-    keeps its existing ``fn(*args, trace)`` contract.
+    (:func:`~repro.observe.metrics.install_worker_metrics`), and this
+    process's growth — including the task wall-time observation — goes
+    home with the result, win or lose: a raised exception carries it
+    as ``metrics_delta``.  The task callable keeps its existing
+    ``fn(*args, trace)`` contract.
     """
-    install_worker_metrics()
+    registry = install_worker_metrics()
     started = time.perf_counter()
     try:
-        return fn(*args, trace)
-    finally:
-        BACKEND_TASK_SECONDS.labels(backend_name).observe(
-            time.perf_counter() - started
-        )
-        flush_worker_metrics()
+        result = fn(*args, trace)
+    except BaseException as error:
+        delta = _task_delta(registry, backend_name, started)
+        error.metrics_delta = delta  # type: ignore[attr-defined]
+        raise
+    return result, _task_delta(registry, backend_name, started)
+
+
+def _task_delta(
+    registry: MetricsRegistry, backend_name: str, started: float
+) -> MetricsSnapshot:
+    """Observe the task's wall time, then take the worker's delta."""
+    BACKEND_TASK_SECONDS.labels(backend_name).observe(
+        time.perf_counter() - started
+    )
+    return registry.take_delta()
 
 
 class AsyncDispatcher:

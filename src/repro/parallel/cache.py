@@ -136,8 +136,9 @@ class LibraryCache:
         seed: int,
         include_global: bool,
     ) -> bool:
-        """Cheap existence probe for a statistical entry (no integrity
-        check) — used by the pipeline manifest to label hit vs miss."""
+        """Cheap existence probe for a statistical entry.  No integrity
+        check: a corrupt entry still reports ``True``, so only
+        :meth:`load_statistical` says whether the entry serves."""
         return self._path(
             characterizer, specs, n_samples, seed, include_global, "stat"
         ).is_file()

@@ -68,7 +68,6 @@ def _statistical_chunk(
             )
             for spec in specs
         ]
-    tracer.flush_counters()
     return cells
 
 
@@ -95,7 +94,6 @@ def _sample_chunk(
             )
             for spec in specs
         ]
-    tracer.flush_counters()
     return columns
 
 

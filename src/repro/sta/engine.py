@@ -24,6 +24,7 @@ from repro.errors import TimingError
 from repro.kernels.sta import evaluate_table_groups
 from repro.liberty.model import TimingArc
 from repro.observe import get_tracer
+from repro.observe.catalog import STA_WORK
 from repro.sta.graph import Endpoint, TimingGraph
 from repro.units import GUARD_BAND_NS
 
@@ -118,11 +119,12 @@ def analyze(
             f"clock period {clock_period} ns must exceed the guard band "
             f"{guard_band} ns"
         )
-    tracer = get_tracer()
-    tracer.add("sta.analyze_calls", 1)
-    tracer.add("sta.node_visits", len(graph.net_names))
-    tracer.add("sta.arc_evaluations", graph.n_arcs)
-    with tracer.span("sta.analyze", nets=len(graph.net_names), arcs=graph.n_arcs):
+    STA_WORK.labels("analyze_calls").inc()
+    STA_WORK.labels("node_visits").inc(len(graph.net_names))
+    STA_WORK.labels("arc_evaluations").inc(graph.n_arcs)
+    with get_tracer().span(
+        "sta.analyze", nets=len(graph.net_names), arcs=graph.n_arcs
+    ):
         return _analyze(graph, clock_period, guard_band)
 
 

@@ -483,8 +483,8 @@ class TestObs001:
 
     def test_non_repro_prefixed_names_are_clean(self):
         code = """
-            def record(tracer, registry):
-                tracer.gauge("workers", 4)
+            def record(registry):
+                registry.gauge("workers", "Not ours.")
                 registry.counter("custom_total", "Not ours.")
         """
         assert rule_ids(code, path=ZONE) == []

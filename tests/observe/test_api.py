@@ -302,13 +302,14 @@ class TestCliSurface:
         import repro.__main__ as cli
         import repro.experiments.runner as runner
         from repro.experiments.base import ExperimentResult
-        from repro.observe import get_tracer, load_trace
+        from repro.observe import get_metrics, get_tracer, load_trace
+
+        items = get_metrics().counter("test_api_items_total", "Items.")
 
         def fake_run(context):
             """Stub experiment recording one span and one counter."""
-            tracer = get_tracer()
-            with tracer.span("fake.work"):
-                tracer.add("fake.items", 3)
+            with get_tracer().span("fake.work"):
+                items.inc(3)
             return ExperimentResult("fake", "stub", rows=[])
 
         fake_table = {"fake": fake_run}
@@ -319,9 +320,39 @@ class TestCliSurface:
         out = capsys.readouterr().out
         assert "spans written to" in out
         assert "experiment.fake" in out  # the rendered tree
+        assert "test_api_items_total" in out  # the counter table
         trace = load_trace(path)
         assert "fake.work" in trace.span_names()
-        assert trace.counters["fake.items"] == 3
+        assert trace.counters["test_api_items_total"] == 3
+
+    def test_profile_without_trace_prints_registry_counts(
+        self, monkeypatch, capsys
+    ):
+        """A bare ``--profile`` (in-memory sink) prints the same counter
+        totals a ``--trace`` file would hold."""
+        import repro.__main__ as cli
+        import repro.experiments.runner as runner
+        from repro.experiments.base import ExperimentResult
+        from repro.observe import get_metrics
+
+        items = get_metrics().counter("test_api_profile_items_total", "Items.")
+
+        def fake_run(context):
+            """Stub experiment counting four items."""
+            items.inc(4)
+            return ExperimentResult("fake", "stub", rows=[])
+
+        fake_table = {"fake": fake_run}
+        monkeypatch.setattr(runner, "ALL_EXPERIMENTS", fake_table)
+        monkeypatch.setattr(cli, "ALL_EXPERIMENTS", fake_table)
+        assert cli.main(["fake", "--profile"]) == 0
+        out = capsys.readouterr().out
+        assert "experiment.fake" in out
+        (line,) = [
+            line for line in out.splitlines()
+            if "test_api_profile_items_total" in line
+        ]
+        assert line.split()[-1] == "4"
 
     def test_trace_dir_writes_per_experiment_artifacts(
         self, tmp_path, monkeypatch
@@ -331,7 +362,9 @@ class TestCliSurface:
         import repro.__main__ as cli
         import repro.experiments.runner as runner
         from repro.experiments.base import ExperimentResult
-        from repro.observe import get_tracer, load_trace
+        from repro.observe import get_metrics, get_tracer, load_trace
+
+        items = get_metrics().counter("test_api_stub_items_total", "Items.")
 
         def make_run(experiment_id):
             """A stub experiment factory recording one counted span."""
@@ -339,7 +372,7 @@ class TestCliSurface:
             def run(context):
                 """Stub experiment body."""
                 with get_tracer().span("stub.work"):
-                    get_tracer().add("stub.items", 1)
+                    items.inc()
                 return ExperimentResult(experiment_id, "stub", rows=[])
 
             return run
@@ -353,4 +386,4 @@ class TestCliSurface:
             trace = load_trace(directory / f"{experiment_id}.trace.jsonl")
             assert f"experiment.{experiment_id}" in trace.span_names()
             assert "stub.work" in trace.span_names()
-            assert trace.counters["stub.items"] == 1
+            assert trace.counters["test_api_stub_items_total"] == 1

@@ -3,35 +3,47 @@
 The exporter's claim is that any number of processes can append to one
 trace file and the read-back (:func:`~repro.observe.load_trace`)
 reconstructs the full span tree and the true counter totals.  The
-worker test exercises exactly the production path: a
-``ProcessPoolExecutor`` whose tasks join the trace through a pickled
-:class:`~repro.observe.TraceHandle`.
+worker test exercises exactly the production path: process-backend
+tasks join the trace through a :class:`~repro.observe.TraceHandle`,
+and their counts ride home with their results into the metrics record
+the parent's tracer writes when it finishes.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
-
 from repro.observe import (
     JsonlExporter,
+    MetricsRegistry,
     Tracer,
+    get_metrics,
     install_worker_tracer,
     load_trace,
     merge_records,
     set_tracer,
 )
+from repro.parallel.backends import ProcessBackend
+
+#: Test-only counter family on the process-wide registry.
+ITEMS = get_metrics().counter("test_export_items_total", "Items.")
 
 
-def _worker_task(handle, index):
-    """Pool task: join the trace, record one span and one counter."""
-    tracer = install_worker_tracer(handle)
+def _worker_task(index, trace=None):
+    """Backend task: join the trace, record one span and one count."""
+    tracer = install_worker_tracer(trace)
     try:
         with tracer.span("worker.task", index=index):
-            tracer.add("worker.items", 1)
-        tracer.flush_counters()
+            ITEMS.inc()
     finally:
         set_tracer(None)
     return index
+
+
+def _metrics_record(counts):
+    """A trace-file metrics record of unlabeled counter growth."""
+    registry = MetricsRegistry()
+    for name, value in counts.items():
+        registry.counter(name).inc(value)
+    return {"type": "metrics", **registry.snapshot().to_payload()}
 
 
 class TestJsonlRoundTrip:
@@ -44,14 +56,14 @@ class TestJsonlRoundTrip:
         with tracer.span("root") as root:
             with tracer.span("child", key="abc"):
                 pass
-            tracer.add("n", 7)
+            ITEMS.inc(7)
         tracer.finish()
         trace = load_trace(path)
         assert trace.span_names() == ["child", "root"]
         child = next(s for s in trace.spans if s["name"] == "child")
         assert child["parent"] == root.span_id
         assert child["attrs"] == {"key": "abc"}
-        assert trace.counters == {"n": 7}
+        assert trace.counters == {"test_export_items_total": 7}
         assert trace.total_wall("root") == root.wall
 
     def test_truncate_clears_previous_contents(self, tmp_path):
@@ -84,13 +96,12 @@ class TestJsonlRoundTrip:
         assert trace.span_names() == ["ok"]
 
     def test_merge_records_sums_counter_deltas(self):
-        """Counter records are deltas: records from N writers sum."""
+        """Metrics records are deltas: several records sum."""
         trace = merge_records([
-            {"type": "counters", "counters": {"n": 3}, "gauges": {"w": 1}},
-            {"type": "counters", "counters": {"n": 4, "m": 1}, "gauges": {"w": 8}},
+            _metrics_record({"n": 3}),
+            _metrics_record({"n": 4, "m": 1}),
         ])
         assert trace.counters == {"n": 7, "m": 1}
-        assert trace.gauges == {"w": 8}
 
 
 class TestWorkerMerge:
@@ -98,16 +109,18 @@ class TestWorkerMerge:
 
     def test_worker_spans_nest_under_submitting_span(self, tmp_path):
         """Every worker span links to the span open at submission, and
-        per-worker counter flushes sum to the true total."""
+        the worker counts sum to the true total in the parent's record."""
         path = tmp_path / "t.jsonl"
         tracer = Tracer(JsonlExporter(path, truncate=True))
         n_tasks = 6
-        with tracer.span("fanout") as fanout:
-            handle = tracer.handle()
-            with ProcessPoolExecutor(max_workers=2) as pool:
-                results = list(
-                    pool.map(_worker_task, [handle] * n_tasks, range(n_tasks))
+        previous = set_tracer(tracer)
+        try:
+            with tracer.span("fanout") as fanout:
+                results = ProcessBackend(2).map_tasks(
+                    _worker_task, [(index,) for index in range(n_tasks)]
                 )
+        finally:
+            set_tracer(previous)
         tracer.finish()
         assert results == list(range(n_tasks))
         trace = load_trace(path)
@@ -118,7 +131,7 @@ class TestWorkerMerge:
         assert sorted(s["attrs"]["index"] for s in worker_spans) == list(
             range(n_tasks)
         )
-        assert trace.counters["worker.items"] == n_tasks
+        assert trace.counters["test_export_items_total"] == n_tasks
 
     def test_install_worker_tracer_drops_foreign_tracer(self):
         """Without a handle, a fork-inherited tracer must not leak:

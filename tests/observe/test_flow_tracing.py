@@ -5,9 +5,11 @@ Two contracts matter at the flow level:
 * tracing is *observation only* — a traced run's results are
   bit-identical to an untraced run's (the tier-1 guarantee the CI smoke
   job also exercises);
-* the exported counters tell the truth — ``synth.calls`` matches the
-  synthesizer's own call counter, and a warm store resolves a run with
-  zero store misses (``repro_store_artifact_total{event="miss"}``).
+* the exported counters tell the truth — the registry's synthesis
+  calls (``repro_synth_work_total{quantity="calls"}``) match the
+  synthesizer's own call counter, a warm store resolves a run with
+  zero store misses (``repro_store_artifact_total{event="miss"}``),
+  and a stage's manifest status says whether the store served it.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from repro.observe import (
     JsonlExporter,
     MemorySink,
     Tracer,
+    get_metrics,
     load_trace,
     set_tracer,
 )
@@ -39,6 +42,24 @@ PARAMETER = 0.03
 def _store_events(event: str) -> float:
     """The registry's store lookups of one event, so far."""
     return STORE_ARTIFACT_EVENTS.labels(event=event).value
+
+
+def _work() -> dict:
+    """Registry totals of the synth/STA/characterize work counters."""
+    snapshot = get_metrics().snapshot()
+    return {
+        "synth": snapshot.value("repro_synth_work_total", quantity="calls") or 0,
+        "sta": snapshot.value("repro_sta_work_total", quantity="analyze_calls") or 0,
+        "cells": snapshot.value("repro_characterize_cells_total") or 0,
+    }
+
+
+def _growth(before: dict) -> dict:
+    return {name: total - before[name] for name, total in _work().items()}
+
+
+def _statlib_statuses(flow: TuningFlow) -> list:
+    return [r.status for r in flow.manifest.records if r.stage == "statlib"]
 
 
 def _mini_config(**overrides) -> FlowConfig:
@@ -115,34 +136,36 @@ class TestTracedResultsIdentical:
             "sta.analyze",
         ):
             assert expected in names, f"missing span {expected}"
+        # The trace's one metrics record carries the run's counts.
+        assert trace.counters['repro_synth_work_total{quantity="calls"}'] == 2
+        assert trace.counters["repro_characterize_cells_total"] > 0
 
 
 class TestCounterTruth:
     """Exported counters agree with the modules' own accounting."""
 
     def test_synth_calls_counter_matches_call_count(self, cache_dir):
-        """``synth.calls`` equals the synthesizer's test hook: 2 on a
-        cold compare (baseline + tuned), 0 on a warm repeat."""
-        tracer = Tracer(MemorySink())
+        """The registry's synthesis calls equal the synthesizer's test
+        hook: 2 on a cold compare (baseline + tuned), 0 on a warm
+        repeat — which also runs no STA pass and characterizes no cell."""
         reset_synthesis_call_count()
         misses = _store_events("miss")
-        flow = TuningFlow(dataclasses.replace(_mini_config(), tracer=tracer))
+        before = _work()
+        flow = TuningFlow(_mini_config())
         flow.compare(PERIOD, METHOD, PARAMETER)
         assert synthesis_call_count() == 2
-        assert tracer.counters()["synth.calls"] == 2
-        assert tracer.counters()["characterize.cells"] > 0
+        cold = _growth(before)
+        assert cold["synth"] == 2
+        assert cold["sta"] > 0
+        assert cold["cells"] > 0
         assert _store_events("miss") > misses
 
-        set_tracer(None)
-        warm_tracer = Tracer(MemorySink())
         reset_synthesis_call_count()
         misses, hits = _store_events("miss"), _store_events("hit")
-        warm_flow = TuningFlow(
-            dataclasses.replace(_mini_config(), tracer=warm_tracer)
-        )
-        warm_flow.compare(PERIOD, METHOD, PARAMETER)
+        before = _work()
+        TuningFlow(_mini_config()).compare(PERIOD, METHOD, PARAMETER)
         assert synthesis_call_count() == 0
-        assert warm_tracer.counters().get("synth.calls", 0) == 0
+        assert _growth(before) == {"synth": 0, "sta": 0, "cells": 0}
         assert _store_events("miss") == misses
         assert _store_events("hit") > hits
 
@@ -160,6 +183,34 @@ class TestCounterTruth:
             if s.name.startswith("stage.") and s.attrs.get("status") == "hit"
         ]
         assert len(hit_spans) > 0
+
+
+class TestStatlibStatus:
+    """The ``statlib`` stage reports whether the store served it."""
+
+    def test_corrupt_library_entry_is_a_miss(self, cache_dir):
+        """A corrupt ``stat-*.npz`` is healed and rebuilt, and the
+        manifest and span say ``miss`` — not ``hit`` because the entry
+        existed."""
+        from tests.parallel.test_equivalence import assert_libraries_bit_identical
+
+        reference = TuningFlow(_mini_config()).statistical_library
+        (entry,) = cache_dir.glob("stat-*.npz")
+        entry.write_bytes(b"this is not a zip archive")
+
+        healed = _store_events("healed")
+        tracer = Tracer(MemorySink())
+        flow = TuningFlow(dataclasses.replace(_mini_config(), tracer=tracer))
+        rebuilt = flow.statistical_library
+        assert _statlib_statuses(flow) == ["miss"]
+        (span,) = [s for s in tracer.spans if s.name == "stage.statlib"]
+        assert span.attrs["status"] == "miss"
+        assert _store_events("healed") == healed + 1
+        assert_libraries_bit_identical(reference, rebuilt)
+
+        warm = TuningFlow(_mini_config())
+        assert_libraries_bit_identical(reference, warm.statistical_library)
+        assert _statlib_statuses(warm) == ["hit"]
 
 
 class TestConfigTracer:

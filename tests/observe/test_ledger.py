@@ -259,11 +259,13 @@ class TestRunnerAutoLedger:
 
     def _stub_table(self, monkeypatch):
         import repro.experiments.runner as runner
-        from repro.observe import get_tracer
+        from repro.observe import get_metrics
+
+        items = get_metrics().counter("test_ledger_items_total", "Items.")
 
         def fake_run(context):
-            """Stub experiment recording one counter."""
-            get_tracer().add("fake.items", 2)
+            """Stub experiment counting two items."""
+            items.inc(2)
             return ExperimentResult(
                 "fake", "stub", rows=[{"method": "vt", "sigma": 1.5}]
             )
@@ -280,6 +282,8 @@ class TestRunnerAutoLedger:
         assert len(records) == 2
         assert records[0].metrics["sigma[vt]"] == 1.5
         assert records[0].wall > 0
+        # Each record carries its own run's registry growth.
+        assert [r.counters["test_ledger_items_total"] for r in records] == [2, 2]
 
     def test_env_redirect_is_honored(self, tmp_path, monkeypatch):
         """``REPRO_LEDGER=<path>`` routes the default ledger there."""
@@ -302,3 +306,30 @@ class TestRunnerAutoLedger:
         monkeypatch.setenv("REPRO_LEDGER", "off")
         runner.run_experiments(ids=["fake"])
         assert not (tmp_path / "ledger.jsonl").exists()
+
+
+class TestLedgerCountersAcrossBackends:
+    """Worker counts reach the ledger: no backend under-reports."""
+
+    def test_process_backend_records_serial_counts(self, tmp_path, monkeypatch):
+        """A tiny ``fig02`` records the same ``repro_characterize_*``
+        counters fanned out over two worker processes as serially."""
+        from repro.experiments.runner import build_context, run_experiments
+
+        monkeypatch.setenv("REPRO_SCALE", "tiny")
+        counters = {}
+        for backend, jobs in (("serial", 1), ("process", 2)):
+            monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / backend))
+            ledger = RunLedger(tmp_path / f"{backend}.jsonl")
+            context = build_context(jobs=jobs, backend=backend)
+            run_experiments(context, ids=["fig02"], ledger=ledger)
+            (record,) = ledger.read(experiment="fig02")
+            counters[backend] = {
+                name: value
+                for name, value in record.counters.items()
+                if name.startswith("repro_characterize_")
+            }
+        assert counters["serial"]["repro_characterize_cells_total"] > 0
+        assert counters["serial"]["repro_characterize_mc_samples_total"] > 0
+        assert counters["process"] == counters["serial"]
+

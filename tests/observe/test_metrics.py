@@ -1,8 +1,9 @@
-"""The live-metrics registry: exactness, exposition, worker spooling.
+"""The live-metrics registry: exactness, exposition, worker deltas.
 
 Three layers under test.  The registry itself must deliver *exact*
 totals under concurrency (threads share one registry; worker processes
-flush deltas through the spool and the parent folds them in).  The
+ship their deltas home with each task result and the parent folds them
+in).  The
 Prometheus exposition must be byte-deterministic — sorted families,
 sorted samples, escaped labels, cumulative buckets — so the golden
 text below and the CI greps never flap.  And the snapshot round-trips
@@ -20,7 +21,6 @@ import pytest
 from repro.errors import ConfigError
 from repro.observe.metrics import (
     DEFAULT_TIME_BUCKETS,
-    METRICS_SPOOL_ENV,
     HistogramValue,
     MetricsRegistry,
     MetricsSnapshot,
@@ -347,78 +347,107 @@ class TestThreadExactness:
 
 
 def _worker_bump(amount, trace=None):
-    """Module-level (PROC002) worker: grow a counter, return the pid.
+    """Module-level (PROC002) worker: grow a counter and a histogram,
+    return the pid.
 
     The process backend's task wrapper installs worker metrics before
-    the call and flushes the delta spool after — this body only has to
-    do the counting.
+    the call and ships the delta home after — this body only has to do
+    the counting.  An amount of 0 counts once and then fails.
     """
     import os
 
     from repro.observe.metrics import get_metrics
 
-    get_metrics().counter(
-        "repro_test_worker_total", "Spool-exactness probe."
-    ).inc(amount)
+    registry = get_metrics()
+    registry.counter("repro_test_worker_total", "Worker-delta probe.").inc(
+        max(amount, 1)
+    )
+    registry.histogram(
+        "repro_test_worker_seconds", "Worker-delta probe.", buckets=(1.0, 4.0)
+    ).observe(amount)
+    if amount == 0:
+        raise ValueError("counted, then failed")
     return os.getpid()
 
 
+def _worker_totals():
+    snapshot = get_metrics().snapshot()
+    return (
+        snapshot.value("repro_test_worker_total") or 0.0,
+        snapshot.value("repro_test_worker_seconds"),
+    )
+
+
 class TestWorkerSpool:
-    def test_process_backend_deltas_merge_exactly(self, tmp_path, monkeypatch):
+    """Worker counts ride home with task results — no file, no env var."""
+
+    def test_process_backend_deltas_merge_exactly(self):
         from repro.parallel.backends import ProcessBackend
 
-        spool = tmp_path / "metrics-spool.jsonl"
-        monkeypatch.setenv(METRICS_SPOOL_ENV, str(spool))
-        registry = get_metrics()
-        before = registry.snapshot().value("repro_test_worker_total") or 0.0
+        count_before, seconds_before = _worker_totals()
         amounts = list(range(1, 9))
         pids = ProcessBackend(n_workers=2).map_tasks(
             _worker_bump, [(amount,) for amount in amounts]
         )
-        after = registry.snapshot().value("repro_test_worker_total")
-        assert after - before == sum(amounts)
-        assert spool.is_file()
+        count_after, seconds_after = _worker_totals()
+        assert count_after - count_before == sum(amounts)
+        observed = seconds_after.count - (
+            0 if seconds_before is None else seconds_before.count
+        )
+        total = seconds_after.total - (
+            0.0 if seconds_before is None else seconds_before.total
+        )
+        assert observed == len(amounts)
+        assert total == sum(amounts)
         # Workers really were separate processes, not in-process calls.
         import os
 
         assert os.getpid() not in pids
 
-    def test_snapshot_consumes_spool_incrementally(
-        self, tmp_path, monkeypatch
-    ):
-        spool = tmp_path / "metrics-spool.jsonl"
-        monkeypatch.setenv(METRICS_SPOOL_ENV, str(spool))
-        registry = MetricsRegistry()
-        record = {
-            "type": "metrics",
-            "pid": 1,
-            "families": {
-                "repro_test_worker_total": {
-                    "kind": "counter",
-                    "help": "",
-                    "labelnames": [],
-                    "buckets": [],
-                    "samples": [{"labels": [], "value": 5.0}],
-                }
-            },
-        }
-        line = json.dumps(record)
-        spool.write_text(line + "\n")
-        assert (
-            registry.snapshot().value("repro_test_worker_total") == 5.0
-        )
-        # A torn (unterminated) trailing line is not consumed ...
-        with spool.open("a") as handle:
-            handle.write(line)
-        assert (
-            registry.snapshot().value("repro_test_worker_total") == 5.0
-        )
-        # ... until its newline lands; then it merges exactly once.
-        with spool.open("a") as handle:
-            handle.write("\n")
-        assert (
-            registry.snapshot().value("repro_test_worker_total") == 10.0
-        )
+    def test_failed_task_still_merges_its_count(self):
+        from repro.parallel.backends import ProcessBackend
+
+        count_before, _ = _worker_totals()
+        timed = _tasks_timed("process")
+        with pytest.raises(ValueError, match="counted, then failed"):
+            ProcessBackend(n_workers=2).map_tasks(
+                _worker_bump, [(3,), (0,), (5,)]
+            )
+        count_after, _ = _worker_totals()
+        # the failed task's count and its siblings' all arrive
+        assert count_after - count_before == 3 + 1 + 5
+        # every task's wall-time observation came home, the failed one's too
+        assert _tasks_timed("process") == timed + 3
+
+    def test_take_delta_ships_growth_once(self, registry):
+        counter = registry.counter("repro_test_total", "Help.", ("kind",))
+        depth = registry.gauge("repro_test_depth", "Help.")
+        counter.labels("a").inc(5)
+        registry.rebase()  # inherited totals never ship
+        counter.labels("a").inc(2)
+        counter.labels("b").inc()
+        depth.set(7)
+        delta = registry.take_delta()
+        assert delta.value("repro_test_total", kind="a") == 2
+        assert delta.value("repro_test_total", kind="b") == 1
+        assert "repro_test_depth" not in delta.families
+        assert registry.take_delta().families == {}
+
+        parent = MetricsRegistry()
+        parent.counter("repro_test_total", "Help.", ("kind",)).labels("a").inc(10)
+        parent.absorb(delta)
+        parent.absorb(delta)
+        merged = parent.snapshot()
+        assert merged.value("repro_test_total", kind="a") == 14
+        assert merged.value("repro_test_total", kind="b") == 2
+
+
+def _tasks_timed(backend: str) -> float:
+    """Tasks of a backend whose wall time was observed, so far."""
+    value = get_metrics().snapshot().value(
+        "repro_backend_task_seconds", backend=backend
+    )
+    return 0 if value is None else value.count
 
 
 class TestCliSurface:

@@ -8,7 +8,9 @@ from repro.observe import (
     MemorySink,
     Trace,
     Tracer,
+    get_metrics,
     load_trace,
+    merge_records,
     render_counters,
     render_trace,
     render_tree,
@@ -128,13 +130,15 @@ class TestPartialTraces:
 
 
 class TestRenderCounters:
-    """The counter/gauge table."""
+    """The counter table."""
 
-    def test_counters_and_gauges_listed(self):
-        """Counter totals and gauges render sorted by name."""
-        text = render_counters({"b.count": 2, "a.count": 1}, {"workers": 4})
-        assert text.index("a.count") < text.index("b.count")
-        assert "workers" in text
+    def test_counters_listed(self):
+        """Counter totals render sorted by name, labels included."""
+        text = render_counters(
+            {'b_total{kind="x"}': 2, "a_total": 1.5}
+        )
+        assert text.index("a_total") < text.index('b_total{kind="x"}')
+        assert "1.5" in text
 
     def test_empty(self):
         """Nothing recorded renders a placeholder."""
@@ -146,15 +150,14 @@ class TestRenderTrace:
 
     def test_full_report(self):
         """A real traced region produces both sections."""
-        tracer = Tracer(MemorySink())
+        items = get_metrics().counter("test_render_items_total", "Items.")
+        sink = MemorySink()
+        tracer = Tracer(sink)
         with tracer.span("run"):
             with tracer.span("step"):
                 pass
-            tracer.add("items", 3)
-        trace = Trace(
-            spans=[s.to_record() for s in tracer.spans],
-            counters=tracer.counters(),
-        )
-        text = render_trace(trace)
+            items.inc(3)
+        tracer.finish()
+        text = render_trace(merge_records(sink.records))
         assert "run" in text and "step" in text
-        assert "items" in text
+        assert "test_render_items_total" in text

@@ -1,9 +1,11 @@
-"""Tracer core: span nesting, timing, counters, the null default.
+"""Tracer core: span nesting, timing, exported counts, the null default.
 
 The span tree is the contract everything else (export, rendering)
 builds on: children must link to the span open at their creation,
 wall times must be real measurements, and the process-default
 :class:`NullTracer` must swallow everything without side effects.
+Counts live in the metrics registry; a finishing tracer exports the
+registry's growth over its lifetime as one metrics record.
 """
 
 from __future__ import annotations
@@ -16,12 +18,28 @@ import pytest
 from repro.observe import (
     NULL_TRACER,
     MemorySink,
+    MetricsSnapshot,
     NullTracer,
     TraceHandle,
     Tracer,
+    get_metrics,
     get_tracer,
     set_tracer,
 )
+
+#: Test-only counter family on the process-wide registry.
+PROBE = get_metrics().counter("test_tracer_probe_total", "Probe.", ("name",))
+
+
+def _metrics_records(sink: MemorySink):
+    return [r for r in sink.records if r["type"] == "metrics"]
+
+
+def _probe_counts(record) -> dict:
+    """Flat ``name -> growth`` of the probe family in one record."""
+    snapshot = MetricsSnapshot.from_payload(record)
+    family = snapshot.families.get("test_tracer_probe_total")
+    return {} if family is None else {k[0]: v for k, v in family.samples.items()}
 
 
 class TestSpans:
@@ -142,35 +160,49 @@ class TestSpanEvents:
 
 
 class TestCountersAndGauges:
-    """Counter accumulation and gauge last-write-wins."""
+    """A finishing tracer exports registry growth (counters, not
+    gauges), not registry totals."""
 
     def test_counters_accumulate(self):
-        """``add`` sums; missing counters start at zero."""
-        tracer = Tracer()
-        tracer.add("x", 2)
-        tracer.add("x")
-        tracer.add("y", 0.5)
-        assert tracer.counters() == {"x": 3, "y": 0.5}
-
-    def test_gauges_last_write_wins(self):
-        """A re-set gauge keeps only the latest value."""
-        tracer = Tracer()
-        tracer.gauge("workers", 2)
-        tracer.gauge("workers", 8)
-        assert tracer.gauges() == {"workers": 8}
-
-    def test_flush_counters_exports_deltas(self):
-        """Each flush exports only the growth since the previous one."""
+        """Increments made while the tracer runs sum in its record;
+        counts from before it started stay out."""
+        PROBE.labels("x").inc(100)
         sink = MemorySink()
         tracer = Tracer(sink)
-        tracer.add("n", 3)
-        tracer.flush_counters()
-        tracer.add("n", 4)
-        tracer.flush_counters()
-        tracer.flush_counters()  # no growth -> no record
-        counter_records = [r for r in sink.records if r["type"] == "counters"]
-        assert [r["counters"]["n"] for r in counter_records] == [3, 4]
-        assert tracer.counters() == {"n": 7}
+        PROBE.labels("x").inc(2)
+        PROBE.labels("x").inc()
+        PROBE.labels("y").inc(0.5)
+        tracer.finish()
+        (record,) = _metrics_records(sink)
+        assert record["trace"] == tracer.trace_id
+        assert _probe_counts(record) == {"x": 3, "y": 0.5}
+
+    def test_finish_exports_registry_growth(self):
+        """Each finish exports only the growth since the previous one;
+        no growth writes no record."""
+        sink = MemorySink()
+        tracer = Tracer(sink)
+        PROBE.labels("n").inc(3)
+        tracer.finish()
+        PROBE.labels("n").inc(4)
+        tracer.finish()
+        tracer.finish()  # no growth -> no record
+        records = _metrics_records(sink)
+        assert [_probe_counts(r)["n"] for r in records] == [3, 4]
+
+    def test_gauges_last_write_wins(self):
+        """A re-set registry gauge keeps only the latest value; being a
+        level, not growth, it stays out of the tracer's record."""
+        gauge = get_metrics().gauge("test_tracer_level", "Level.")
+        sink = MemorySink()
+        tracer = Tracer(sink)
+        gauge.set(2)
+        gauge.set(8)
+        PROBE.labels("g").inc()
+        tracer.finish()
+        assert get_metrics().snapshot().value("test_tracer_level") == 8
+        (record,) = _metrics_records(sink)
+        assert "test_tracer_level" not in record["families"]
 
 
 class TestNullTracer:
@@ -182,14 +214,15 @@ class TestNullTracer:
         assert not get_tracer().enabled
 
     def test_null_operations_are_noops(self):
-        """Spans, counters and gauges all discard on the null tracer."""
+        """Spans, events and finish all discard on the null tracer."""
         tracer = NullTracer()
         with tracer.span("ignored") as span:
             span.set(status="ignored")
-        tracer.add("n", 5)
-        tracer.gauge("g", 1)
+        tracer.event("ignored")
+        PROBE.labels("null").inc()
+        tracer.finish()
         assert tracer.spans == []
-        assert tracer.counters() == {}
+        assert tracer.sink is None
         assert tracer.handle() is None
 
     def test_set_tracer_installs_and_restores(self):
